@@ -9,8 +9,9 @@ Region labels: P1C1..P2C2 for length-3 vectors, P1C1..P3C3 for k^4.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dyck import (KVec3, Path3, Path4, area3, area4, bounce3, bounce4,
                    bounce4_case, enumerate_paths3, enumerate_paths4)
@@ -41,20 +42,30 @@ def region_of_path4(p: Path4) -> str:
     return H_REGIONS[bounce4_case(p) - 1]
 
 
-def _poly(names: Sequence[str], terms: dict) -> SparsePoly:
+def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> SparsePoly:
+    """Polynomial with coefficient = number of occurrences of each key."""
+    terms = Counter(keys)
     # every exponent is a path statistic or parameter, never negative
     if terms and min(min(exps) for exps in terms) < 0:
         raise AssertionError("negative exponent in a path polynomial")
     return SparsePoly(VarTable(names), terms)
 
 
+def _paths3(k: KVec3, region: str | None) -> Iterator[Path3]:
+    for p in enumerate_paths3(k):
+        if region is None or region_of_path3(p) == region:
+            yield p
+
+
+def _paths4(k: int, region: str | None) -> Iterator[Path4]:
+    for p in enumerate_paths4(k):
+        if region is None or region_of_path4(p) == region:
+            yield p
+
+
 def catalan_poly3(k: KVec3) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k, over variables (q, t)."""
-    terms: dict[tuple[int, ...], int] = {}
-    for p in enumerate_paths3(k):
-        key = (area3(p), bounce3(p))
-        terms[key] = terms.get(key, 0) + 1
-    return _poly(QT_VARS, terms)
+    return _tally(QT_VARS, ((area3(p), bounce3(p)) for p in enumerate_paths3(k)))
 
 
 def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
@@ -76,11 +87,7 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
 
 def catalan_poly_k4(k: int) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k^4."""
-    terms: dict[tuple[int, ...], int] = {}
-    for p in enumerate_paths4(k):
-        key = (area4(p), bounce4(p))
-        terms[key] = terms.get(key, 0) + 1
-    return _poly(QT_VARS, terms)
+    return _tally(QT_VARS, ((area4(p), bounce4(p)) for p in enumerate_paths4(k)))
 
 
 def _check_region(region: str | None, allowed: tuple[str, ...]):
@@ -94,25 +101,15 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
     With ``region`` set, only paths in that bounce region contribute.
     """
     _check_region(region, F_REGIONS)
-    terms: dict[tuple[int, ...], int] = {}
-    for p in enumerate_paths3(k):
-        if region is not None and region_of_path3(p) != region:
-            continue
-        key = (area3(p), bounce3(p), p.r2, p.r3)
-        terms[key] = terms.get(key, 0) + 1
-    return _poly(REFINED3_VARS, terms)
+    return _tally(REFINED3_VARS, ((area3(p), bounce3(p), p.r2, p.r3)
+                                  for p in _paths3(k, region)))
 
 
 def refined_poly4(k: int, region: str | None = None) -> SparsePoly:
     """Refined sum q^area t^bounce y2^a y3^b y4^c over (q, t, y2, y3, y4)."""
     _check_region(region, H_REGIONS)
-    terms: dict[tuple[int, ...], int] = {}
-    for p in enumerate_paths4(k):
-        if region is not None and region_of_path4(p) != region:
-            continue
-        key = (area4(p), bounce4(p), p.a, p.b, p.c)
-        terms[key] = terms.get(key, 0) + 1
-    return _poly(REFINED4_VARS, terms)
+    return _tally(REFINED4_VARS, ((area4(p), bounce4(p), p.a, p.b, p.c)
+                                  for p in _paths4(k, region)))
 
 
 def _vectors3(max_total: int) -> Iterable[KVec3]:
@@ -127,29 +124,16 @@ def gf_series3(max_total: int, region: str | None = None,
     """Generating series sum over k1+k2+k3 <= max_total of x1^k1 x2^k2 x3^k3
     times the (optionally refined, optionally region-filtered) path sum."""
     _check_region(region, F_REGIONS)
-    terms: dict[tuple[int, ...], int] = {}
-    for k in _vectors3(max_total):
-        for p in enumerate_paths3(k):
-            if region is not None and region_of_path3(p) != region:
-                continue
-            key = (area3(p), bounce3(p), k.k1, k.k2, k.k3)
-            if refined:
-                key += (p.r2, p.r3)
-            terms[key] = terms.get(key, 0) + 1
-    return _poly(GF3_REFINED_VARS if refined else GF3_VARS, terms)
+    return _tally(GF3_REFINED_VARS if refined else GF3_VARS,
+                  ((area3(p), bounce3(p), k.k1, k.k2, k.k3)
+                   + ((p.r2, p.r3) if refined else ())
+                   for k in _vectors3(max_total) for p in _paths3(k, region)))
 
 
 def gf_series4(max_k: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k <= max_k of x^k times the path sum."""
     _check_region(region, H_REGIONS)
-    terms: dict[tuple[int, ...], int] = {}
-    for k in range(max_k + 1):
-        for p in enumerate_paths4(k):
-            if region is not None and region_of_path4(p) != region:
-                continue
-            key = (area4(p), bounce4(p), k)
-            if refined:
-                key += (p.a, p.b, p.c)
-            terms[key] = terms.get(key, 0) + 1
-    return _poly(GF4_REFINED_VARS if refined else GF4_VARS, terms)
+    return _tally(GF4_REFINED_VARS if refined else GF4_VARS,
+                  ((area4(p), bounce4(p), k) + ((p.a, p.b, p.c) if refined else ())
+                   for k in range(max_k + 1) for p in _paths4(k, region)))

@@ -12,15 +12,12 @@ import csv
 import json
 import sys
 
-from .catalan import (F_REGIONS, H_REGIONS, catalan_poly3, catalan_poly_k4,
-                      catalan_poly_lambda3, gf_series3, gf_series4,
+from .catalan import (catalan_poly3, catalan_poly_k4, catalan_poly_lambda3,
                       region_of_path4)
 from .dyck import (KVec3, area3, area4, bounce3, bounce4, enumerate_paths3,
                    enumerate_paths4, to_param3)
 from .involution import classify, verify_involution
-from .omega import (F_BASE_WEIGHTS, H_BASE_WEIGHTS, build_crude_F,
-                    build_crude_H, closed_form, expand_truncated,
-                    series_equal, slice_term_bound, slice_weight_vector)
+from .omega import GF_SECTIONS, check_gf_section
 from .polynomial import SparsePoly
 
 
@@ -96,61 +93,16 @@ def _verify_involution(max_ac: int) -> int:
 def _verify_gf(max_order: int) -> int:
     """Crude = closed = enumeration for every region, then both identities."""
     checked = 0
-    x3 = ("x1", "x2", "x3")
-    for region in F_REGIONS:
-        _progress(f"gf: F {region}")
-        oracle = gf_series3(max_order, region=region, refined=True)
-        form = closed_form("F" + region[1] + region[3])
-        wv = slice_weight_vector(
-            oracle, x3, F_BASE_WEIGHTS, max_order,
-            min_m=slice_term_bound(form, x3, F_BASE_WEIGHTS, max_order))
-        crude = expand_truncated(build_crude_F(region), wv)
-        closed = expand_truncated(form, wv)
-        for name, diff in (("crude_vs_closed", series_equal(crude, closed, wv)),
-                           ("closed_vs_paths", series_equal(closed, oracle, wv))):
+    for section in GF_SECTIONS:
+        _progress(f"gf: {section}")
+        checks, terms = check_gf_section(section, max_order)
+        for name, diff in checks:
             if not diff.equal:
-                return _fail("gf", {"identity": name, "region": f"F {region}",
+                region = {} if name == section else {"region": section}
+                return _fail("gf", {"identity": name, **region,
                                     "exps": list(diff.witness),
                                     "left": diff.left, "right": diff.right})
-        checked += len(oracle.terms)
-    _progress("gf: EQ1")
-    oracle = gf_series3(max_order)
-    form = closed_form("EQ1")
-    wv = slice_weight_vector(
-        oracle, x3, {"q": 1, "t": 1}, max_order,
-        min_m=slice_term_bound(form, x3, {"q": 1, "t": 1}, max_order))
-    diff = series_equal(expand_truncated(form, wv), oracle, wv)
-    if not diff.equal:
-        return _fail("gf", {"identity": "EQ1", "exps": list(diff.witness),
-                            "left": diff.left, "right": diff.right})
-    checked += len(oracle.terms)
-    for region in H_REGIONS:
-        _progress(f"gf: H {region}")
-        oracle = gf_series4(max_order, region=region, refined=True)
-        form = closed_form("H" + region[1] + region[3])
-        wv = slice_weight_vector(
-            oracle, ("x",), H_BASE_WEIGHTS, max_order,
-            min_m=slice_term_bound(form, ("x",), H_BASE_WEIGHTS, max_order))
-        crude = expand_truncated(build_crude_H(region), wv)
-        closed = expand_truncated(form, wv)
-        for name, diff in (("crude_vs_closed", series_equal(crude, closed, wv)),
-                           ("closed_vs_paths", series_equal(closed, oracle, wv))):
-            if not diff.equal:
-                return _fail("gf", {"identity": name, "region": f"H {region}",
-                                    "exps": list(diff.witness),
-                                    "left": diff.left, "right": diff.right})
-        checked += len(oracle.terms)
-    _progress("gf: EQ2")
-    oracle = gf_series4(max_order)
-    form = closed_form("EQ2")
-    wv = slice_weight_vector(
-        oracle, ("x",), {"q": 1, "t": 1}, max_order,
-        min_m=slice_term_bound(form, ("x",), {"q": 1, "t": 1}, max_order))
-    diff = series_equal(expand_truncated(form, wv), oracle, wv)
-    if not diff.equal:
-        return _fail("gf", {"identity": "EQ2", "exps": list(diff.witness),
-                            "left": diff.left, "right": diff.right})
-    checked += len(oracle.terms)
+        checked += terms
     return _pass("gf", checked)
 
 

@@ -57,43 +57,12 @@ def _check_valid(a: int, c: int, b: int, d: int):
         raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
 
 
-def classify_phi(a: int, c: int, b: int, d: int) -> str:
-    """Case label for the a <= c map."""
-    if a > c:
-        raise ValueError(f"classify_phi requires a <= c, got a={a}, c={c}")
-    _check_valid(a, c, b, d)
-    if 2 * (a - b) <= d:
-        return "L11" if 3 * b + d - a <= c else "L12"
-    return "L21" if 2 * b + ceil_div(d, 2) <= c else "L22"
-
-
-def phi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
-    """Involution on paths with a <= c, exchanging area and bounce."""
-    case = classify_phi(a, c, b, d)
-    if case == "L11":
-        return (b, 3 * a - 5 * b + c - d)
-    if case == "L12":
-        x = parity_x(a, c, b, d)
-        num = a - b + c - d - x
-        assert num % 2 == 0
-        return (num // 2, 2 * a - 2 * b + x)
-    if case == "L21":
-        return (a - d // 2, 2 * d - 2 * b + c - 3 * ceil_div(d, 2))
-    y = parity_y(c, d)
-    num = c + ceil_div(d, 2) - y
-    assert num % 2 == 0
-    return (a - b - d + num // 2, 2 * (d // 2) + y)
-
-
-def classify_psi(a: int, c: int, b: int, d: int) -> str:
-    """Case label for the a > c map.
-
-    The two singleton cases G12 (b = 0, d = 2c) and G21 (b = a - c,
-    d = 2(a - b)) are carved out of their enclosing regions first.
-    """
+def _case(a: int, c: int, b: int, d: int) -> str:
+    """Case label of (b, d) under the map for (a, c); (b, d) must be valid."""
     if a <= c:
-        raise ValueError(f"classify_psi requires a > c, got a={a}, c={c}")
-    _check_valid(a, c, b, d)
+        if 2 * (a - b) <= d:
+            return "L11" if 3 * b + d - a <= c else "L12"
+        return "L21" if 2 * b + ceil_div(d, 2) <= c else "L22"
     if b == 0 and d == 2 * c:
         return "G12"
     if b == a - c and d == 2 * (a - b):
@@ -106,31 +75,63 @@ def classify_psi(a: int, c: int, b: int, d: int) -> str:
     return "G31" if 2 * b + ceil_div(d, 2) <= c else "G32"
 
 
-def psi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
-    """Involution on paths with a > c, exchanging area and bounce.
+def _image(case: str, a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Image of (b, d) in the given case of the map for (a, c).
 
-    The G32 image uses b' = a - b - d + (c + ceil(d/2) - Y)/2, the same
-    shape as the L22 row; the subtracted variant fails to be an involution
-    already at (a, c, b, d) = (3, 2, 2, 0).
+    Three rows are shared by the two maps: L12 = G22, L21 = G31 and
+    L22 = G32.  The G32 image uses b' = a - b - d + (c + ceil(d/2) - Y)/2,
+    the same shape as the L22 row; the subtracted variant fails to be an
+    involution already at (a, c, b, d) = (3, 2, 2, 0).
     """
-    case = classify_psi(a, c, b, d)
+    if case == "L11":
+        return (b, 3 * a - 5 * b + c - d)
     if case == "G11":
         return (a - b + c - d, d)
     if case == "G12":
         return (a - c, d)
     if case == "G21":
         return (0, d)
-    if case == "G22":
+    if case in ("L12", "G22"):
         x = parity_x(a, c, b, d)
         num = a - b + c - d - x
         assert num % 2 == 0
         return (num // 2, 2 * a - 2 * b + x)
-    if case == "G31":
+    if case in ("L21", "G31"):
         return (a - d // 2, 2 * d - 2 * b + c - 3 * ceil_div(d, 2))
     y = parity_y(c, d)
     num = c + ceil_div(d, 2) - y
     assert num % 2 == 0
     return (a - b - d + num // 2, 2 * (d // 2) + y)
+
+
+def classify_phi(a: int, c: int, b: int, d: int) -> str:
+    """Case label for the a <= c map."""
+    if a > c:
+        raise ValueError(f"classify_phi requires a <= c, got a={a}, c={c}")
+    _check_valid(a, c, b, d)
+    return _case(a, c, b, d)
+
+
+def phi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Involution on paths with a <= c, exchanging area and bounce."""
+    return _image(classify_phi(a, c, b, d), a, c, b, d)
+
+
+def classify_psi(a: int, c: int, b: int, d: int) -> str:
+    """Case label for the a > c map.
+
+    The two singleton cases G12 (b = 0, d = 2c) and G21 (b = a - c,
+    d = 2(a - b)) are carved out of their enclosing regions first.
+    """
+    if a <= c:
+        raise ValueError(f"classify_psi requires a > c, got a={a}, c={c}")
+    _check_valid(a, c, b, d)
+    return _case(a, c, b, d)
+
+
+def psi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Involution on paths with a > c, exchanging area and bounce."""
+    return _image(classify_psi(a, c, b, d), a, c, b, d)
 
 
 def classify(a: int, c: int, b: int, d: int) -> str:
@@ -203,18 +204,19 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
     for b in range(a + 1):
         for d in range(a - b + c + 1):
             report.checked += 1
-            label = classify(a, c, b, d)
-            b2, d2 = involution_map(a, c, b, d)
+            label = _case(a, c, b, d)
+            b2, d2 = _image(label, a, c, b, d)
             if b2 < 0 or d2 < 0 or a - b2 < 0 or a - b2 + c - d2 < 0:
                 fail(Failure(b, d, "invalid_image"))
                 continue
-            if involution_map(a, c, b2, d2) != (b, d):
+            label2 = _case(a, c, b2, d2)
+            if _image(label2, a, c, b2, d2) != (b, d):
                 fail(Failure(b, d, "not_involution"))
                 continue
             if (area_from_runs(a, c, b2, d2) != bounce_from_runs(a, c, b, d)
                     or bounce_from_runs(a, c, b2, d2) != area_from_runs(a, c, b, d)):
                 fail(Failure(b, d, "stat_mismatch"))
                 continue
-            if classify(a, c, b2, d2) != CASE_EXCHANGE[label]:
+            if label2 != CASE_EXCHANGE[label]:
                 fail(Failure(b, d, "wrong_case_exchange"))
     return report

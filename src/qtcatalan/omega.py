@@ -34,6 +34,7 @@ from functools import cache
 from importlib import resources
 from typing import Mapping, Sequence
 
+from .catalan import F_REGIONS, H_REGIONS, gf_series3, gf_series4
 from .polynomial import SparsePoly, VarTable
 
 MODE_NONNEG = "nonneg"
@@ -397,94 +398,77 @@ _BASE4_S_EVEN = {"q": _AREA4_S, "x": {"k": 1}, "y2": {"a": 1},
 _BASE4_S_ODD = {"q": {**_AREA4_S, "const": -2}, "x": {"k": 1}, "y2": {"a": 1},
                 "y3": {"s": 2, "const": 1}, "y4": {"c": 1}}
 
+# Per part: the path domain a <= k, b <= 2k - a, c <= 3k - a - b, then the
+# part's own condition (see the region comments below).
+_PART1 = [{"k": 1, "a": -1},
+          {"k": 2, "a": -1, "b": -1},
+          {"k": 3, "a": -1, "b": -1, "c": -1},
+          {"a": 2, "b": 1, "k": -2}]
+_PART2 = [{"k": 1, "a": -1},
+          {"k": 2, "a": -1, "s": -2},
+          {"k": 3, "a": -1, "s": -2, "c": -1},
+          {"k": 2, "a": -2, "s": -2, "const": -1}]
+_PART3 = [{"k": 1, "a": -1},
+          {"k": 2, "a": -1, "s": -2, "const": -1},
+          {"k": 3, "a": -1, "s": -2, "c": -1, "const": -1},
+          {"k": 2, "a": -2, "s": -2, "const": -2}]
+
 _H_REGION_DEFS = {
     # part 1: b >= 2k - 2a; case 1: c >= 4k - 2a - 2b
     "P1C1": dict(
         base=_BASE4_B,
         sum_vars=("k", "a", "b", "c"),
         bounce={"a": 6, "b": 3, "c": 1, "k": -4},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "b": -1},
-                     {"k": 3, "a": -1, "b": -1, "c": -1},
-                     {"a": 2, "b": 1, "k": -2},
-                     {"a": 2, "b": 2, "c": 1, "k": -4}],
+        constraints=_PART1 + [{"a": 2, "b": 2, "c": 1, "k": -4}],
         ceilings=[]),
     # part 1, case 2: c < 4k - 2a - 2b, bounce needs ceil(c/2)
     "P1C2": dict(
         base=_BASE4_B,
         sum_vars=("k", "a", "b", "c", "p"),
         bounce={"a": 5, "b": 2, "p": 1, "k": -2},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "b": -1},
-                     {"k": 3, "a": -1, "b": -1, "c": -1},
-                     {"a": 2, "b": 1, "k": -2},
-                     {"k": 4, "a": -2, "b": -2, "c": -1, "const": -1}],
+        constraints=_PART1 + [{"k": 4, "a": -2, "b": -2, "c": -1, "const": -1}],
         ceilings=[(2, {"c": 1}, "p")]),
     # part 2: b = 2s < 2k - 2a; case 1: c >= 3k - a - 3s
     "P2C1": dict(
         base=_BASE4_S_EVEN,
         sum_vars=("k", "a", "s", "c"),
         bounce={"a": 4, "s": 4, "c": 1, "k": -2},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "s": -2},
-                     {"k": 3, "a": -1, "s": -2, "c": -1},
-                     {"k": 2, "a": -2, "s": -2, "const": -1},
-                     {"a": 1, "s": 3, "c": 1, "k": -3}],
+        constraints=_PART2 + [{"a": 1, "s": 3, "c": 1, "k": -3}],
         ceilings=[]),
     # part 2, case 2: 3k - 3a - 3s <= c < 3k - a - 3s
     "P2C2": dict(
         base=_BASE4_S_EVEN,
         sum_vars=("k", "a", "s", "c", "p"),
         bounce={"a": 2, "s": 1, "k": 1, "p": 1},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "s": -2},
-                     {"k": 3, "a": -1, "s": -2, "c": -1},
-                     {"k": 2, "a": -2, "s": -2, "const": -1},
-                     {"a": 3, "s": 3, "c": 1, "k": -3},
-                     {"k": 3, "a": -1, "s": -3, "c": -1, "const": -1}],
+        constraints=_PART2 + [{"a": 3, "s": 3, "c": 1, "k": -3},
+                              {"k": 3, "a": -1, "s": -3, "c": -1, "const": -1}],
         ceilings=[(2, {"a": 3, "s": 3, "c": 1, "k": -3}, "p")]),
     # part 2, case 3: c < 3k - 3a - 3s, bounce needs ceil(c/3)
     "P2C3": dict(
         base=_BASE4_S_EVEN,
         sum_vars=("k", "a", "s", "c", "p"),
         bounce={"a": 3, "s": 2, "p": 1},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "s": -2},
-                     {"k": 3, "a": -1, "s": -2, "c": -1},
-                     {"k": 2, "a": -2, "s": -2, "const": -1},
-                     {"k": 3, "a": -3, "s": -3, "c": -1, "const": -1}],
+        constraints=_PART2 + [{"k": 3, "a": -3, "s": -3, "c": -1, "const": -1}],
         ceilings=[(3, {"c": 1}, "p")]),
     # part 3: b = 2s + 1 < 2k - 2a; case bounds shift by the odd step
     "P3C1": dict(
         base=_BASE4_S_ODD,
         sum_vars=("k", "a", "s", "c"),
         bounce={"a": 4, "s": 4, "c": 1, "k": -2, "const": 3},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "s": -2, "const": -1},
-                     {"k": 3, "a": -1, "s": -2, "c": -1, "const": -1},
-                     {"k": 2, "a": -2, "s": -2, "const": -2},
-                     {"a": 1, "s": 3, "c": 1, "k": -3, "const": 2}],
+        constraints=_PART3 + [{"a": 1, "s": 3, "c": 1, "k": -3, "const": 2}],
         ceilings=[]),
     "P3C2": dict(
         base=_BASE4_S_ODD,
         sum_vars=("k", "a", "s", "c", "p"),
         bounce={"a": 2, "s": 1, "k": 1, "p": 1, "const": 1},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "s": -2, "const": -1},
-                     {"k": 3, "a": -1, "s": -2, "c": -1, "const": -1},
-                     {"k": 2, "a": -2, "s": -2, "const": -2},
-                     {"a": 3, "s": 3, "c": 1, "k": -3, "const": 2},
-                     {"k": 3, "a": -1, "s": -3, "c": -1, "const": -3}],
+        constraints=_PART3 + [{"a": 3, "s": 3, "c": 1, "k": -3, "const": 2},
+                              {"k": 3, "a": -1, "s": -3, "c": -1, "const": -3}],
         ceilings=[(2, {"a": 3, "s": 3, "c": 1, "k": -3, "const": 2}, "p")]),
     "P3C3": dict(
         base=_BASE4_S_ODD,
         sum_vars=("k", "a", "s", "c", "p"),
         bounce={"a": 3, "s": 2, "p": 1, "const": 2},
-        constraints=[{"k": 1, "a": -1},
-                     {"k": 2, "a": -1, "s": -2, "const": -1},
-                     {"k": 3, "a": -1, "s": -2, "c": -1, "const": -1},
-                     {"k": 2, "a": -2, "s": -2, "const": -2},
-                     {"k": 3, "a": -3, "s": -3, "c": -1, "const": -3}],
+        constraints=_PART3 + [{"k": 3, "a": -3, "s": -3, "c": -1, "const": -3}],
         ceilings=[(3, {"c": 1, "const": -1}, "p")]),
 }
 
@@ -540,3 +524,49 @@ def closed_form(form_id: str) -> FactoredOmegaExpr:
                  for item in entry["numerator"]]
     factors = [mono(f) for f in entry["factors"]]
     return FactoredOmegaExpr(vt, numerator, factors, {})
+
+
+# ----------------------------------------------------------------------
+# verification sections
+
+GF_SECTIONS = (tuple(f"F {r}" for r in F_REGIONS) + ("EQ1",)
+               + tuple(f"H {r}" for r in H_REGIONS) + ("EQ2",))
+
+
+def check_gf_section(section: str, max_order: int
+                     ) -> tuple[list[tuple[str, SeriesDiff]], int]:
+    """Check one gf section on the slice of total x-degree <= max_order.
+
+    A section (see ``GF_SECTIONS``) is a bounce region, "F P1C1" .. "H P3C3",
+    or a product identity, "EQ1" or "EQ2".  A region compares its crude form
+    with its closed form, then its closed form with the refined path sum of
+    the region; an identity compares its product form with the plain path
+    sum.  ``min_m`` comes from :func:`slice_term_bound` on the closed form,
+    so every slice term of the closed form is compared.
+
+    Returns the named comparisons in that order and the number of terms in
+    the path sum.
+    """
+    if section not in GF_SECTIONS:
+        raise ValueError(f"unknown section {section!r}; expected one of {GF_SECTIONS}")
+    family, _, region = section.partition(" ")
+    three = family in ("F", "EQ1")
+    series = gf_series3 if three else gf_series4
+    x_names = ("x1", "x2", "x3") if three else ("x",)
+    if region:
+        oracle = series(max_order, region=region, refined=True)
+        form = closed_form(family + region[1] + region[3])
+        base = F_BASE_WEIGHTS if three else H_BASE_WEIGHTS
+    else:
+        oracle = series(max_order)
+        form = closed_form(section)
+        base = {"q": 1, "t": 1}
+    wv = slice_weight_vector(oracle, x_names, base, max_order,
+                             min_m=slice_term_bound(form, x_names, base, max_order))
+    closed = expand_truncated(form, wv)
+    if not region:
+        return [(section, series_equal(closed, oracle, wv))], len(oracle.terms)
+    crude = expand_truncated((build_crude_F if three else build_crude_H)(region), wv)
+    return ([("crude_vs_closed", series_equal(crude, closed, wv)),
+             ("closed_vs_paths", series_equal(closed, oracle, wv))],
+            len(oracle.terms))

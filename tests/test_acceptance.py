@@ -11,31 +11,26 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, catalan_poly3,
-                               catalan_poly_k4, catalan_poly_lambda3,
-                               gf_series3, gf_series4)
+                               catalan_poly_k4, catalan_poly_lambda3)
 from qtcatalan.dyck import (KVec3, ceil_div, enumerate_paths3,
                             enumerate_paths4, bounce3, bounce3_bd,
                             bounce4_case, to_param3)
 from qtcatalan.involution import lemma4_check, verify_involution
-from qtcatalan.omega import (F_BASE_WEIGHTS, H_BASE_WEIGHTS, build_crude_F,
-                             build_crude_H, closed_form, expand_truncated,
-                             series_equal, slice_term_bound,
-                             slice_weight_vector)
+from qtcatalan.omega import check_gf_section
 from qtcatalan.polynomial import SparsePoly
 
 GOLDEN = Path(__file__).parent / "golden" / "catalan_111.json"
-X3 = ("x1", "x2", "x3")
 
 
 @contextmanager
 def criterion(number, description, budget_s):
-    start = time.time()
+    start = time.perf_counter()
     try:
         yield
     except Exception:
         print(f"[criterion {number:2d}] FAIL - {description}")
         raise
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     print(f"[criterion {number:2d}] PASS - {description} ({elapsed:.2f}s)")
     assert elapsed < budget_s, f"criterion {number} took {elapsed:.2f}s, budget {budget_s}s"
 
@@ -66,38 +61,22 @@ def test_criterion_02_symmetry_lambda():
 
 def test_criterion_03_eq1_series():
     with criterion(3, "EQ1 equals the enumerated series, k1+k2+k3 <= 8", 30):
-        oracle = gf_series3(8)
-        base = {"q": 1, "t": 1}
-        form = closed_form("EQ1")
-        wv = slice_weight_vector(oracle, X3, base, 8,
-                                 min_m=slice_term_bound(form, X3, base, 8))
-        series = expand_truncated(form, wv)
-        diff = series_equal(series, oracle, wv)
-        assert diff.equal, diff
+        [(name, diff)], _ = check_gf_section("EQ1", 8)
+        assert name == "EQ1" and diff.equal, diff
 
 
 def test_criterion_04_refined_f_forms():
     with criterion(4, "F11..F22 match region-filtered refined sums, order 6", 60):
         for region in F_REGIONS:
-            oracle = gf_series3(6, region=region, refined=True)
-            form = closed_form("F" + region[1] + region[3])
-            wv = slice_weight_vector(
-                oracle, X3, F_BASE_WEIGHTS, 6,
-                min_m=slice_term_bound(form, X3, F_BASE_WEIGHTS, 6))
-            series = expand_truncated(form, wv)
-            diff = series_equal(series, oracle, wv)
-            assert diff.equal, (region, diff)
+            checks = dict(check_gf_section(f"F {region}", 6)[0])
+            assert checks["closed_vs_paths"].equal, (region, checks)
 
 
 def test_criterion_05_crude_f_equals_closed():
     with criterion(5, "crude F builders equal their closed forms, order 6", 60):
         for region in F_REGIONS:
-            oracle = gf_series3(6, region=region, refined=True)
-            wv = slice_weight_vector(oracle, X3, F_BASE_WEIGHTS, 6)
-            crude = expand_truncated(build_crude_F(region), wv)
-            closed = expand_truncated(closed_form("F" + region[1] + region[3]), wv)
-            diff = series_equal(crude, closed, wv)
-            assert diff.equal, (region, diff)
+            checks = dict(check_gf_section(f"F {region}", 6)[0])
+            assert checks["crude_vs_closed"].equal, (region, checks)
 
 
 def test_criterion_06_symmetry4_and_counts():
@@ -113,30 +92,16 @@ def test_criterion_06_symmetry4_and_counts():
 
 def test_criterion_07_eq2_series():
     with criterion(7, "EQ2 equals the enumerated k^4 series, k <= 10", 30):
-        oracle = gf_series4(10)
-        base = {"q": 1, "t": 1}
-        form = closed_form("EQ2")
-        wv = slice_weight_vector(oracle, ("x",), base, 10,
-                                 min_m=slice_term_bound(form, ("x",), base, 10))
-        series = expand_truncated(form, wv)
-        diff = series_equal(series, oracle, wv)
-        assert diff.equal, diff
+        [(name, diff)], _ = check_gf_section("EQ2", 10)
+        assert name == "EQ2" and diff.equal, diff
 
 
 def test_criterion_08_h_forms():
     with criterion(8, "H11..H33 match refined sums and crude builders, order 6", 120):
         for region in H_REGIONS:
-            oracle = gf_series4(6, region=region, refined=True)
-            form = closed_form("H" + region[1] + region[3])
-            wv = slice_weight_vector(
-                oracle, ("x",), H_BASE_WEIGHTS, 6,
-                min_m=slice_term_bound(form, ("x",), H_BASE_WEIGHTS, 6))
-            closed = expand_truncated(form, wv)
-            diff = series_equal(closed, oracle, wv)
-            assert diff.equal, (region, "closed_vs_paths", diff)
-            crude = expand_truncated(build_crude_H(region), wv)
-            diff = series_equal(crude, closed, wv)
-            assert diff.equal, (region, "crude_vs_closed", diff)
+            checks = dict(check_gf_section(f"H {region}", 6)[0])
+            for name in ("closed_vs_paths", "crude_vs_closed"):
+                assert checks[name].equal, (region, name, checks[name])
 
 
 def test_criterion_09_involutions():

@@ -145,3 +145,45 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "poly4", "--k", "2", "--format", "json")
     _, out2, _ = run(capsys, "poly4", "--k", "2", "--format", "json")
     assert out1 == out2
+
+
+def drop_first_numerator_term(monkeypatch, form_id):
+    import copy
+
+    from qtcatalan import omega
+
+    registry = copy.deepcopy(omega._closed_form_registry())
+    del registry[form_id]["numerator"][0]
+    monkeypatch.setattr(omega, "_closed_form_registry", lambda: registry)
+
+
+def test_verify_gf_reports_broken_region_form(capsys, monkeypatch):
+    # F11's first numerator term has x-degree 1, so truncate 2 sees it
+    drop_first_numerator_term(monkeypatch, "F11")
+    code, out, err = run(capsys, "verify", "--suite", "gf", "--truncate", "2")
+    assert code == 1
+    assert out == ('{"suite": "gf", "status": "fail", "counterexample": '
+                   '{"identity": "crude_vs_closed", "region": "F P1C1", '
+                   '"exps": [3, 1, 2, 0, 0, 2, 1], "left": 1, "right": 0}}\n')
+    assert err == "gf: F P1C1\n"
+
+
+def test_verify_gf_reports_broken_identity_without_region(capsys, monkeypatch):
+    drop_first_numerator_term(monkeypatch, "EQ2")
+    code, out, err = run(capsys, "verify", "--suite", "gf", "--truncate", "2")
+    assert code == 1
+    assert out == ('{"suite": "gf", "status": "fail", "counterexample": '
+                   '{"identity": "EQ2", "exps": [12, 0, 2], "left": 0, "right": 1}}\n')
+    assert err.splitlines()[-2:] == ["gf: H P3C3", "gf: EQ2"]
+
+
+def test_verify_involution_reports_wrong_case_exchange(capsys, monkeypatch):
+    from qtcatalan.involution import CASE_EXCHANGE
+
+    monkeypatch.setitem(CASE_EXCHANGE, "L12", "L12")
+    code, out, _ = run(capsys, "verify", "--suite", "involution", "--max", "3")
+    assert code == 1
+    assert out == ('{"suite": "involution", "status": "fail", "counterexample": '
+                   '{"a": 1, "c": 1, "checked": 5, "failures": ['
+                   '{"b": 1, "d": 0, "reason": "wrong_case_exchange"}, '
+                   '{"b": 1, "d": 1, "reason": "wrong_case_exchange"}]}}\n')

@@ -131,3 +131,13 @@ def test_report_serialization():
     assert doc["a"] == 2 and doc["c"] == 3
     assert doc["failures"] == []
     assert "ok" in rep.describe()
+
+
+def test_verify_involution_reports_wrong_case_exchange(monkeypatch):
+    monkeypatch.setitem(CASE_EXCHANGE, "L12", "L12")
+    report = verify_involution(2, 3)
+    assert report.checked == 15
+    assert [(f.b, f.d, f.reason) for f in report.failures] == [
+        (1, 3, "wrong_case_exchange"), (1, 4, "wrong_case_exchange"),
+        (2, 0, "wrong_case_exchange"), (2, 1, "wrong_case_exchange"),
+        (2, 2, "wrong_case_exchange"), (2, 3, "wrong_case_exchange")]

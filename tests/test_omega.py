@@ -5,8 +5,8 @@ from qtcatalan.catalan import (F_REGIONS, H_REGIONS, gf_series3, gf_series4,
 from qtcatalan.dyck import KVec3
 from qtcatalan.omega import (CLOSED_FORM_IDS, F_BASE_WEIGHTS, H_BASE_WEIGHTS,
                              FactoredOmegaExpr, WeightVector, build_crude_F,
-                             build_crude_H, closed_form, expand_truncated,
-                             series_equal, slice_term_bound,
+                             build_crude_H, check_gf_section, closed_form,
+                             expand_truncated, series_equal, slice_term_bound,
                              slice_weight_vector, truncate_weighted)
 from qtcatalan.polynomial import SparsePoly, VarTable
 
@@ -117,6 +117,12 @@ def test_build_crude_unknown_region():
         build_crude_F("P3C1")
     with pytest.raises(ValueError, match="unknown region"):
         build_crude_H("P4C1")
+
+
+def test_check_gf_section_unknown_section():
+    for section in ("F P3C3", "H P4C1", "EQ3", "P1C1"):
+        with pytest.raises(ValueError, match="unknown section"):
+            check_gf_section(section, 2)
 
 
 def test_eq1_constant_term_and_x3_column():
