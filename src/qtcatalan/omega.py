@@ -24,6 +24,11 @@ every ceiling p = ceil(A/z) becomes an auxiliary variable of mode ``zero``
 with numerator 1 + mu + ... + mu^(z-1) and exponent A - z*p.  The closed
 rational forms they eliminate to are transcribed in
 ``data/closed_forms.json`` and loaded by :func:`closed_form`.
+
+Each region's system is written as cut lines, each once: case i of a split
+holds cut i and fails cut i - 1, whose strict complement -L - 1 >= 0 is
+derived, so the cases partition what is split.  The k^4 parts 2 and 3 (even
+and odd b) are one table in s and the parity r of b = 2s + r.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from functools import cache
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .catalan import F_REGIONS, H_REGIONS, gf_series3, gf_series4
+from .catalan import (F_REGIONS, GF3_REFINED_VARS, GF4_REFINED_VARS,
+                      H_REGIONS, gf_series3, gf_series4)
 from .polynomial import SparsePoly, VarTable
 
 MODE_NONNEG = "nonneg"
@@ -43,9 +49,6 @@ MODE_ZERO = "zero"
 # per eliminated variable: MODE_NONNEG keeps exponents >= 0, MODE_ZERO
 # keeps exponent == 0; the variable is then set to 1
 EliminationSpec = dict[str, str]
-
-CLOSED_FORM_IDS = ("F11", "F12", "F21", "F22", "EQ1",
-                   "H11", "H12", "H21", "H22", "H23", "H31", "H32", "H33", "EQ2")
 
 
 @dataclass(frozen=True)
@@ -292,9 +295,6 @@ def slice_term_bound(expr: FactoredOmegaExpr, x_names: Sequence[str],
 # ----------------------------------------------------------------------
 # crude generating functions from constraint systems
 
-F_RETAINED = ("q", "t", "x1", "x2", "x3", "y2", "y3")
-H_RETAINED = ("q", "t", "x", "y2", "y3", "y4")
-
 # Base weights under which every crude factor has positive weight; the
 # default all-ones vector gives e.g. the P1C2 r2-factor (q y2 / t^2)
 # weight zero, so the y variables are weighted 2.
@@ -349,150 +349,107 @@ def _assemble(retained: Sequence[str], sum_vars: Sequence[str],
     return FactoredOmegaExpr(vt, numerator, factors, elim)
 
 
-_AREA3 = {"r2": 1, "r3": 1}
-_BASE3 = {"q": _AREA3, "x1": {"k1": 1}, "x2": {"k2": 1}, "x3": {"k3": 1},
-          "y2": {"r2": 1}, "y3": {"r3": 1}}
+def _negated(row: Linear) -> Linear:
+    """Strict complement of ``row >= 0``, written ``-row - 1 >= 0``."""
+    out = {v: -c for v, c in row.items()}
+    out["const"] = out.get("const", 0) - 1
+    return out
+
+
+def _case(cuts: list[Linear], i: int) -> list[Linear]:
+    """Rows of case i (from 0) of a split by ``cuts``: it holds cut i and
+    fails cut i - 1, so the cases partition what the split divides."""
+    return cuts[i:i + 1] + ([_negated(cuts[i - 1])] if i else [])
+
+
+def _at_parity(row: Linear, r: int) -> Linear:
+    """``row`` over s, with b = 2s + r and the parity symbol "r" set to r."""
+    out = {v: c for v, c in row.items() if v not in ("b", "r")}
+    out["s"] = out.get("s", 0) + 2 * row.get("b", 0)
+    out["const"] = out.get("const", 0) + r * (row.get("b", 0) + row.get("r", 0))
+    return out
+
+
+# A family's tables: the path domain rows; the cuts between its parts; per
+# part its summation variables ("p" is dropped in cases without a ceiling),
+# the cuts between its cases and each case's (bounce, ceilings).
+
+_BASE3 = {"q": {"r2": 1, "r3": 1}, "x1": {"k1": 1}, "x2": {"k2": 1},
+          "x3": {"k3": 1}, "y2": {"r2": 1}, "y3": {"r3": 1}}
 _BOUNDS3 = [{"k1": 1, "r2": -1},            # r2 <= k1
             {"r2": 1, "k2": 1, "r3": -1}]   # r3 <= r2 + k2
-_CEIL3 = (2, {"r2": 1, "k2": 1, "r3": -1}, "p")
+_CEIL3 = [(2, _BOUNDS3[1], "p")]            # p = ceil((r2 + k2 - r3)/2)
+_F_PART_CUTS = [{"r2": 1, "k2": -1, "const": -1}]   # part 1: r2 > k2
+_F_PARTS = (
+    # part 1, case 1: r2 - r3 >= k2
+    (("k1", "r2", "k2", "r3", "p", "k3"), [{"r2": 1, "k2": -1, "r3": -1}],
+     [({"k1": 2, "r2": -1, "r3": -1}, []), ({"k1": 2, "r2": -2, "p": 1}, _CEIL3)]),
+    # part 2, case 1: r2 + r3 <= k2
+    (("k1", "k2", "r2", "r3", "p", "k3"), [{"k2": 1, "r2": -1, "r3": -1}],
+     [({"k1": 2, "r2": -2, "k2": 1, "r3": -1}, []),
+      ({"k1": 2, "r2": -2, "p": 1}, _CEIL3)]),
+)
 
-_F_REGION_DEFS = {
-    # part 1: r2 > k2; case 1: r2 - r3 >= k2
-    "P1C1": dict(
-        sum_vars=("k1", "r2", "k2", "r3", "k3"),
-        bounce={"k1": 2, "r2": -1, "r3": -1},
-        constraints=_BOUNDS3 + [{"r2": 1, "k2": -1, "const": -1},
-                                {"r2": 1, "k2": -1, "r3": -1}],
-        ceilings=[]),
-    # part 1, case 2: r2 - r3 < k2, bounce needs ceil((r2 + k2 - r3)/2)
-    "P1C2": dict(
-        sum_vars=("k1", "r2", "k2", "r3", "p", "k3"),
-        bounce={"k1": 2, "r2": -2, "p": 1},
-        constraints=_BOUNDS3 + [{"r2": 1, "k2": -1, "const": -1},
-                                {"k2": 1, "r3": 1, "r2": -1, "const": -1}],
-        ceilings=[_CEIL3]),
-    # part 2: r2 <= k2; case 1: r2 + r3 <= k2
-    "P2C1": dict(
-        sum_vars=("k1", "k2", "r2", "r3", "k3"),
-        bounce={"k1": 2, "r2": -2, "k2": 1, "r3": -1},
-        constraints=_BOUNDS3 + [{"k2": 1, "r2": -1},
-                                {"k2": 1, "r2": -1, "r3": -1}],
-        ceilings=[]),
-    # part 2, case 2: r2 + r3 > k2
-    "P2C2": dict(
-        sum_vars=("k1", "k2", "r2", "r3", "p", "k3"),
-        bounce={"k1": 2, "r2": -2, "p": 1},
-        constraints=_BOUNDS3 + [{"k2": 1, "r2": -1},
-                                {"r2": 1, "r3": 1, "k2": -1, "const": -1}],
-        ceilings=[_CEIL3]),
-}
+# k^4: part 1 is written in b.  Parts 2 and 3 (b < 2k - 2a, b = 2s + r with
+# r = 0 and 1) are one table written in s and r, rewritten by _at_parity.
+_BASE4 = {"q": {"k": 6, "a": -3, "b": -2, "c": -1}, "x": {"k": 1},
+          "y2": {"a": 1}, "y3": {"b": 1}, "y4": {"c": 1}}
+_DOMAIN4 = [{"k": 1, "a": -1},                        # a <= k
+            {"k": 2, "a": -1, "b": -1},               # b <= 2k - a
+            {"k": 3, "a": -1, "b": -1, "c": -1}]      # c <= 3k - a - b
+_H_PART_CUTS = [{"a": 2, "b": 1, "k": -2}]            # part 1: b >= 2k - 2a
+_CUTS4 = [{"a": 1, "s": 3, "c": 1, "k": -3, "r": 2},  # c >= 3k - a - 3s - 2r
+          {"a": 3, "s": 3, "c": 1, "k": -3, "r": 2}]  # c >= 3k - 3a - 3s - 2r
+_H_PARTS = (
+    # part 1, case 1: c >= 4k - 2a - 2b; case 2 needs ceil(c/2)
+    (("k", "a", "b", "c", "p"), [{"a": 2, "b": 2, "c": 1, "k": -4}],
+     [({"a": 6, "b": 3, "c": 1, "k": -4}, []),
+      ({"a": 5, "b": 2, "p": 1, "k": -2}, [(2, {"c": 1}, "p")])]),
+    # parts 2 and 3: case 2 holds cut 2 and its bounce needs the ceiling of
+    # half of it; case 3 needs ceil((c - r)/3)
+    (("k", "a", "s", "c", "p"), _CUTS4,
+     [({"a": 4, "s": 4, "c": 1, "k": -2, "r": 3}, []),
+      ({"a": 2, "s": 1, "k": 1, "p": 1, "r": 1}, [(2, _CUTS4[1], "p")]),
+      ({"a": 3, "s": 2, "p": 1, "r": 2}, [(3, {"c": 1, "r": -1}, "p")])]),
+)
 
-# k^4 regions.  Even b is written b = 2s, odd b is written b = 2s + 1, so
-# the s variable carries y3^2 (plus a constant y3 when odd).
-_AREA4_B = {"k": 6, "a": -3, "b": -2, "c": -1}
-_AREA4_S = {"k": 6, "a": -3, "s": -4, "c": -1}
-_BASE4_B = {"q": _AREA4_B, "x": {"k": 1}, "y2": {"a": 1}, "y3": {"b": 1},
-            "y4": {"c": 1}}
-_BASE4_S_EVEN = {"q": _AREA4_S, "x": {"k": 1}, "y2": {"a": 1},
-                 "y3": {"s": 2}, "y4": {"c": 1}}
-_BASE4_S_ODD = {"q": {**_AREA4_S, "const": -2}, "x": {"k": 1}, "y2": {"a": 1},
-                "y3": {"s": 2, "const": 1}, "y4": {"c": 1}}
 
-# Per part: the path domain a <= k, b <= 2k - a, c <= 3k - a - b, then the
-# part's own condition (see the region comments below).
-_PART1 = [{"k": 1, "a": -1},
-          {"k": 2, "a": -1, "b": -1},
-          {"k": 3, "a": -1, "b": -1, "c": -1},
-          {"a": 2, "b": 1, "k": -2}]
-_PART2 = [{"k": 1, "a": -1},
-          {"k": 2, "a": -1, "s": -2},
-          {"k": 3, "a": -1, "s": -2, "c": -1},
-          {"k": 2, "a": -2, "s": -2, "const": -1}]
-_PART3 = [{"k": 1, "a": -1},
-          {"k": 2, "a": -1, "s": -2, "const": -1},
-          {"k": 3, "a": -1, "s": -2, "c": -1, "const": -1},
-          {"k": 2, "a": -2, "s": -2, "const": -2}]
+def _crude(retained: Sequence[str], base: Mapping[str, Linear],
+           rows: list[Linear], part: tuple, case: int, form=dict) -> FactoredOmegaExpr:
+    """Crude expression of ``case`` of ``part`` within the part's ``rows``.
 
-_H_REGION_DEFS = {
-    # part 1: b >= 2k - 2a; case 1: c >= 4k - 2a - 2b
-    "P1C1": dict(
-        base=_BASE4_B,
-        sum_vars=("k", "a", "b", "c"),
-        bounce={"a": 6, "b": 3, "c": 1, "k": -4},
-        constraints=_PART1 + [{"a": 2, "b": 2, "c": 1, "k": -4}],
-        ceilings=[]),
-    # part 1, case 2: c < 4k - 2a - 2b, bounce needs ceil(c/2)
-    "P1C2": dict(
-        base=_BASE4_B,
-        sum_vars=("k", "a", "b", "c", "p"),
-        bounce={"a": 5, "b": 2, "p": 1, "k": -2},
-        constraints=_PART1 + [{"k": 4, "a": -2, "b": -2, "c": -1, "const": -1}],
-        ceilings=[(2, {"c": 1}, "p")]),
-    # part 2: b = 2s < 2k - 2a; case 1: c >= 3k - a - 3s
-    "P2C1": dict(
-        base=_BASE4_S_EVEN,
-        sum_vars=("k", "a", "s", "c"),
-        bounce={"a": 4, "s": 4, "c": 1, "k": -2},
-        constraints=_PART2 + [{"a": 1, "s": 3, "c": 1, "k": -3}],
-        ceilings=[]),
-    # part 2, case 2: 3k - 3a - 3s <= c < 3k - a - 3s
-    "P2C2": dict(
-        base=_BASE4_S_EVEN,
-        sum_vars=("k", "a", "s", "c", "p"),
-        bounce={"a": 2, "s": 1, "k": 1, "p": 1},
-        constraints=_PART2 + [{"a": 3, "s": 3, "c": 1, "k": -3},
-                              {"k": 3, "a": -1, "s": -3, "c": -1, "const": -1}],
-        ceilings=[(2, {"a": 3, "s": 3, "c": 1, "k": -3}, "p")]),
-    # part 2, case 3: c < 3k - 3a - 3s, bounce needs ceil(c/3)
-    "P2C3": dict(
-        base=_BASE4_S_EVEN,
-        sum_vars=("k", "a", "s", "c", "p"),
-        bounce={"a": 3, "s": 2, "p": 1},
-        constraints=_PART2 + [{"k": 3, "a": -3, "s": -3, "c": -1, "const": -1}],
-        ceilings=[(3, {"c": 1}, "p")]),
-    # part 3: b = 2s + 1 < 2k - 2a; case bounds shift by the odd step
-    "P3C1": dict(
-        base=_BASE4_S_ODD,
-        sum_vars=("k", "a", "s", "c"),
-        bounce={"a": 4, "s": 4, "c": 1, "k": -2, "const": 3},
-        constraints=_PART3 + [{"a": 1, "s": 3, "c": 1, "k": -3, "const": 2}],
-        ceilings=[]),
-    "P3C2": dict(
-        base=_BASE4_S_ODD,
-        sum_vars=("k", "a", "s", "c", "p"),
-        bounce={"a": 2, "s": 1, "k": 1, "p": 1, "const": 1},
-        constraints=_PART3 + [{"a": 3, "s": 3, "c": 1, "k": -3, "const": 2},
-                              {"k": 3, "a": -1, "s": -3, "c": -1, "const": -3}],
-        ceilings=[(2, {"a": 3, "s": 3, "c": 1, "k": -3, "const": 2}, "p")]),
-    "P3C3": dict(
-        base=_BASE4_S_ODD,
-        sum_vars=("k", "a", "s", "c", "p"),
-        bounce={"a": 3, "s": 2, "p": 1, "const": 2},
-        constraints=_PART3 + [{"k": 3, "a": -3, "s": -3, "c": -1, "const": -3}],
-        ceilings=[(3, {"c": 1, "const": -1}, "p")]),
-}
+    ``form`` rewrites every row, functional and ceiling of the region; the
+    default copies them as written.
+    """
+    sum_vars, cuts, cases = part
+    bounce, ceilings = cases[case]
+    functionals = {name: form(f) for name, f in {**base, "t": bounce}.items()}
+    return _assemble(retained, tuple(v for v in sum_vars if v != "p" or ceilings),
+                     functionals, [form(row) for row in rows + _case(cuts, case)],
+                     [(z, form(a), p) for z, a, p in ceilings])
+
+
+def _part_case(region: str, regions: tuple[str, ...]) -> tuple[int, int]:
+    if region not in regions:
+        raise ValueError(f"unknown region {region!r}; expected one of {regions}")
+    return int(region[1]) - 1, int(region[3]) - 1
 
 
 def build_crude_F(region: str) -> FactoredOmegaExpr:
     """Crude generating function for one length-3 bounce region."""
-    if region not in _F_REGION_DEFS:
-        raise ValueError(f"unknown region {region!r}; expected one of {tuple(_F_REGION_DEFS)}")
-    defn = _F_REGION_DEFS[region]
-    functionals = dict(_BASE3)
-    functionals["t"] = defn["bounce"]
-    return _assemble(F_RETAINED, defn["sum_vars"], functionals,
-                     defn["constraints"], defn["ceilings"])
+    part, case = _part_case(region, F_REGIONS)
+    return _crude(GF3_REFINED_VARS, _BASE3, _BOUNDS3 + _case(_F_PART_CUTS, part),
+                  _F_PARTS[part], case)
 
 
 def build_crude_H(region: str) -> FactoredOmegaExpr:
     """Crude generating function for one k^4 bounce region."""
-    if region not in _H_REGION_DEFS:
-        raise ValueError(f"unknown region {region!r}; expected one of {tuple(_H_REGION_DEFS)}")
-    defn = _H_REGION_DEFS[region]
-    functionals = dict(defn["base"])
-    functionals["t"] = defn["bounce"]
-    return _assemble(H_RETAINED, defn["sum_vars"], functionals,
-                     defn["constraints"], defn["ceilings"])
+    part, case = _part_case(region, H_REGIONS)
+    rows = _DOMAIN4 + _case(_H_PART_CUTS, min(part, 1))  # parts 2 and 3 fail it
+    if part == 0:
+        return _crude(GF4_REFINED_VARS, _BASE4, rows, _H_PARTS[0], case)
+    return _crude(GF4_REFINED_VARS, _BASE4, rows, _H_PARTS[1], case,
+                  lambda row: _at_parity(row, part - 1))
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +490,15 @@ GF_SECTIONS = (tuple(f"F {r}" for r in F_REGIONS) + ("EQ1",)
                + tuple(f"H {r}" for r in H_REGIONS) + ("EQ2",))
 
 
+def _form_id(section: str) -> str:
+    """Closed-form id of a gf section: "F P1C2" -> "F12", "EQ1" -> "EQ1"."""
+    family, _, region = section.partition(" ")
+    return family + region[1] + region[3] if region else family
+
+
+CLOSED_FORM_IDS = tuple(_form_id(section) for section in GF_SECTIONS)
+
+
 def check_gf_section(section: str, max_order: int
                      ) -> tuple[list[tuple[str, SeriesDiff]], int]:
     """Check one gf section on the slice of total x-degree <= max_order.
@@ -553,13 +519,12 @@ def check_gf_section(section: str, max_order: int
     three = family in ("F", "EQ1")
     series = gf_series3 if three else gf_series4
     x_names = ("x1", "x2", "x3") if three else ("x",)
+    form = closed_form(_form_id(section))
     if region:
         oracle = series(max_order, region=region, refined=True)
-        form = closed_form(family + region[1] + region[3])
         base = F_BASE_WEIGHTS if three else H_BASE_WEIGHTS
     else:
         oracle = series(max_order)
-        form = closed_form(section)
         base = {"q": 1, "t": 1}
     wv = slice_weight_vector(oracle, x_names, base, max_order,
                              min_m=slice_term_bound(form, x_names, base, max_order))

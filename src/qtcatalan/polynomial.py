@@ -273,8 +273,12 @@ class SparsePoly:
         vars = VarTable(doc["vars"])
         terms: dict[tuple[int, ...], int] = {}
         for item in doc["terms"]:
-            exps = tuple(int(e) for e in item["exps"])
-            coeff = int(item["coeff"])
+            exps, coeff = item["exps"], item["coeff"]
+            # int() would truncate 1.5 and accept true or "7"
+            if not (isinstance(exps, (list, tuple)) and type(coeff) is int
+                    and all(type(e) is int for e in exps)):
+                raise ValueError(f"JSON term {item!r} needs integer exps and coeff")
+            exps = tuple(exps)
             if exps in terms:
                 raise ValueError(f"duplicate exponent tuple {exps!r} in JSON terms")
             terms[exps] = coeff

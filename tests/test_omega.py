@@ -1,5 +1,6 @@
 import pytest
 
+from qtcatalan import omega
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, gf_series3, gf_series4,
                                refined_poly3)
 from qtcatalan.dyck import KVec3
@@ -170,6 +171,21 @@ def test_crude_h_equals_closed_and_enumeration(region):
     closed = expand_truncated(closed_form("H" + region[1] + region[3]), wv)
     assert series_equal(crude, closed, wv).equal
     assert series_equal(closed, oracle, wv).equal
+
+
+@pytest.mark.parametrize("cut, sections", [
+    # the cut between the two cases of F part 1
+    (omega._F_PARTS[0][1][0], ("F P1C1", "F P1C2")),
+    # the k^4 case-1 cut, shared by parts 2 and 3
+    (omega._CUTS4[0], ("H P2C1", "H P2C2", "H P3C1", "H P3C2")),
+], ids=("F_part1_cut", "H_parts23_cut1"))
+def test_shifted_shared_cut_fails_every_region_built_from_it(
+        monkeypatch, cut, sections):
+    monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
+    for section in sections:
+        diffs = dict(check_gf_section(section, 2)[0])
+        assert not diffs["crude_vs_closed"].equal, section
+        assert diffs["closed_vs_paths"].equal, section
 
 
 def test_eq2_matches_enumeration_small():

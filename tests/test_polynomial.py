@@ -175,6 +175,19 @@ def test_json_rejects_duplicate_terms():
         SparsePoly.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("term", [{"exps": [1.5], "coeff": 2},
+                                  {"exps": [1], "coeff": 2.9},
+                                  {"exps": [True], "coeff": 1},
+                                  {"exps": [1], "coeff": True},
+                                  {"exps": ["7"], "coeff": 1},
+                                  {"exps": [1], "coeff": "7"},
+                                  {"exps": 1, "coeff": 1}])
+def test_json_rejects_non_integer_terms(term):
+    doc = {"vars": ["q"], "terms": [{"exps": [0], "coeff": 1}, term]}
+    with pytest.raises(ValueError, match="JSON term .* needs integer"):
+        SparsePoly.from_json(json.dumps(doc))
+
+
 def test_text_and_latex_rendering():
     p = SparsePoly(QT, {(3, 0): 1, (1, 1): -2, (0, 0): 1})
     assert p.text() == "q^3 - 2*q*t + 1"
