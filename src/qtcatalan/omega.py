@@ -14,7 +14,11 @@ terms with exponent exactly 0; either way the variable is then set to 1.
 the elimination term by term.  Enumeration is bounded by a weighted total
 degree on the retained variables: every factor must have strictly positive
 weight, which makes the multiplicity search finite, and the result is then
-exact for all terms of weighted degree <= the bound.
+exact for all terms of weighted degree <= the bound.  Each eliminated
+variable is settled at the last factor that touches it, where its mode
+forces that factor's multiplicity (``zero``) or bounds it (``nonneg``), as
+in the last-factor step of MacMahon's partition analysis (Andrews, Paule
+and Riese; Xin); so the search visits a few nodes per emitted term.
 
 The crude generating functions for the two path families are *generated*
 from their linear constraint systems by :func:`build_crude_F` and
@@ -112,6 +116,12 @@ class FactoredOmegaExpr:
 def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     """Expand with elimination, exact up to retained weighted degree wv.bound.
 
+    A depth-first search picks each factor's multiplicity in turn.  At the
+    last factor touching an eliminated variable the multiplicity is forced
+    (``zero``) or bounded (``nonneg``), so every branch it keeps satisfies
+    that variable's mode; a variable no factor touches is checked on the
+    numerator term.
+
     Raises ValueError if any factor has nonpositive retained weight (the
     expansion would not terminate).
     """
@@ -137,38 +147,24 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     fexps = [tuple((i, c) for i, c in enumerate(f) if c) for f in factors]
     nf = len(factors)
 
-    # Feasibility tables: at position j, for each eliminated variable, the
-    # (coefficient, weight) pairs of the remaining factors that can raise
-    # or lower its exponent.  rem // weight bounds each multiplicity.
-    checks = []
-    for j in range(nf + 1):
-        entry = []
-        for ie, mode in elim_info:
-            pos = tuple((factors[jj][ie], fwt[jj])
-                        for jj in range(j, nf) if factors[jj][ie] > 0)
-            neg = tuple((factors[jj][ie], fwt[jj])
-                        for jj in range(j, nf) if factors[jj][ie] < 0)
-            entry.append((ie, mode == MODE_ZERO, pos, neg))
-        checks.append(tuple(entry))
+    # An eliminated variable's exponent is final once its last touching
+    # factor has its multiplicity n: with exponent v and coefficient c,
+    # ``zero`` forces v + n*c == 0, and ``nonneg`` gives v + n*c >= 0, a
+    # lower bound on n if c > 0 and an upper one if c < 0.
+    settle: list[list[tuple[int, bool, int]]] = [[] for _ in range(nf)]
+    untouched = []
+    for ie, mode in elim_info:
+        touching = [j for j in range(nf) if factors[j][ie]]
+        if touching:
+            last = touching[-1]
+            settle[last].append((ie, mode == MODE_ZERO, factors[last][ie]))
+        else:
+            untouched.append((ie, mode == MODE_ZERO))
 
     acc: dict[tuple[int, ...], int] = {}
     cur = [0] * n_all
 
     def rec(j: int, rem: int, sign: int):
-        for ie, is_zero, pos, neg in checks[j]:
-            v = cur[ie]
-            if v < 0:
-                hi = v
-                for c, w in pos:
-                    hi += c * (rem // w)
-                if hi < 0:
-                    return
-            elif is_zero and v > 0:
-                lo = v
-                for c, w in neg:
-                    lo += c * (rem // w)
-                if lo > 0:
-                    return
         if j == nf:
             key = tuple(cur[i] for i in ret_idx)
             s = acc.get(key, 0) + sign
@@ -178,20 +174,39 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
                 del acc[key]
             return
         wt = fwt[j]
+        lo, hi = 0, rem // wt
+        for ie, is_zero, c in settle[j]:
+            v = cur[ie]
+            if is_zero:
+                n, r = divmod(-v, c)
+                if r:
+                    return
+                lo, hi = max(lo, n), min(hi, n)
+            elif c > 0:
+                lo = max(lo, -(v // c))
+            else:
+                hi = min(hi, v // -c)
+        if lo > hi:
+            return
         exps = fexps[j]
+        if lo:
+            rem -= lo * wt
+            for i, c in exps:
+                cur[i] += lo * c
         rec(j + 1, rem, sign)
-        n = 0
-        while rem >= wt:
+        for _ in range(lo, hi):
             rem -= wt
-            n += 1
             for i, c in exps:
                 cur[i] += c
             rec(j + 1, rem, sign)
-        if n:
+        if hi:
             for i, c in exps:
-                cur[i] -= n * c
+                cur[i] -= hi * c
 
     for coeff, mono in expr.numerator:
+        # a variable no factor touches is settled by the numerator term
+        if any(mono[ie] if is_zero else mono[ie] < 0 for ie, is_zero in untouched):
+            continue
         mw = sum(w_full[i] * mono[i] for i in range(n_all))
         rem = wv.bound - mw
         if rem < 0:

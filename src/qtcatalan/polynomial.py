@@ -270,9 +270,20 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
-        vars = VarTable(doc["vars"])
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"JSON polynomial must be an object, got {doc!r}")
+        names = doc.get("vars")
+        # VarTable would split a bare string such as "qt" into its letters
+        if not (isinstance(names, (list, tuple)) and all(type(n) is str for n in names)):
+            raise ValueError(f'JSON "vars" must be a list of strings, got {names!r}')
+        items = doc.get("terms")
+        if not isinstance(items, (list, tuple)):
+            raise ValueError(f'JSON "terms" must be a list, got {items!r}')
+        vars = VarTable(names)
         terms: dict[tuple[int, ...], int] = {}
-        for item in doc["terms"]:
+        for item in items:
+            if not (isinstance(item, Mapping) and "exps" in item and "coeff" in item):
+                raise ValueError(f"JSON term {item!r} must be an object with exps and coeff")
             exps, coeff = item["exps"], item["coeff"]
             # int() would truncate 1.5 and accept true or "7"
             if not (isinstance(exps, (list, tuple)) and type(coeff) is int

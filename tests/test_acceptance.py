@@ -16,7 +16,7 @@ from qtcatalan.dyck import (KVec3, ceil_div, enumerate_paths3,
                             enumerate_paths4, bounce3, bounce3_bd,
                             bounce4_case, to_param3)
 from qtcatalan.involution import lemma4_check, verify_involution
-from qtcatalan.omega import check_gf_section
+from qtcatalan.omega import GF_SECTIONS, check_gf_section
 from qtcatalan.polynomial import SparsePoly
 
 GOLDEN = Path(__file__).parent / "golden" / "catalan_111.json"
@@ -158,3 +158,10 @@ def test_criterion_12_golden_anchor():
             key = (dinv, sum(seq))
             terms[key] = terms.get(key, 0) + 1
         assert SparsePoly(golden.vars, terms) == golden
+
+
+def test_criterion_13_gf_sections_order_12():
+    with criterion(13, "every gf section holds on the order-12 slice", 6):
+        for section in GF_SECTIONS:
+            for name, diff in check_gf_section(section, 12)[0]:
+                assert diff.equal, (section, name, diff)

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from qtcatalan import omega
@@ -256,3 +259,102 @@ def test_expanded_path_terms_have_nonnegative_exponents():
     crude = expand_truncated(build_crude_F("P1C2"), wv)
     for exps in crude.terms:
         assert min(exps) >= 0
+
+
+# ----------------------------------------------------------------------
+# expand_truncated against an unpruned reference
+
+
+def reference_expand(expr, wv):
+    """Every multiplicity vector whose weight fits the bound, with the
+    elimination modes applied to the finished exponents."""
+    names = expr.vars.names
+    wmap = dict(zip(expr.retained_names, wv.resolve(expr.retained_names)))
+    w = [wmap.get(n, 0) for n in names]
+    fwt = [sum(a * b for a, b in zip(w, f)) for f in expr.factors]
+    keep = [i for i, n in enumerate(names) if n not in expr.elim]
+    modes = [(expr.vars.index(n), m) for n, m in expr.elim.items()]
+
+    def vectors(j, rem):
+        if j == len(fwt):
+            yield ()
+            return
+        for n in range(rem // fwt[j] + 1):
+            for rest in vectors(j + 1, rem - n * fwt[j]):
+                yield (n,) + rest
+
+    terms = Counter()
+    for coeff, mono in expr.numerator:
+        rem = wv.bound - sum(a * b for a, b in zip(w, mono))
+        if rem < 0:
+            continue
+        for ns in vectors(0, rem):
+            exps = [e + sum(n * f[i] for n, f in zip(ns, expr.factors))
+                    for i, e in enumerate(mono)]
+            if all(exps[i] == 0 if m == "zero" else exps[i] >= 0 for i, m in modes):
+                terms[tuple(exps[i] for i in keep)] += coeff
+    return {k: c for k, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("section", [s for s in omega.GF_SECTIONS if " " in s])
+def test_crude_expansion_matches_unpruned_reference(section):
+    # the smallest bounds at which every region of the family has a term
+    family, _, region = section.partition(" ")
+    if family == "F":
+        expr, wv = build_crude_F(region), WeightVector(16, F_BASE_WEIGHTS)
+    else:
+        expr, wv = build_crude_H(region), WeightVector(20, H_BASE_WEIGHTS)
+    want = reference_expand(expr, wv)
+    assert want
+    assert expand_truncated(expr, wv).terms == want
+
+
+def random_expr(rng):
+    """1-2 retained variables, 1-2 eliminated ones of each mode, elimination
+    coefficients in -3..3 and positive factor weights."""
+    retained = [f"x{i}" for i in range(rng.randint(1, 2))]
+    nonneg = [f"l{i}" for i in range(rng.randint(1, 2))]
+    zero = [f"m{i}" for i in range(rng.randint(1, 2))]
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        ret = [rng.randint(0, 2) for _ in retained]
+        ret[rng.randrange(len(retained))] = rng.randint(1, 2)
+        factors.append(ret + [rng.randint(-3, 3) for _ in nonneg + zero])
+    numerator = [(rng.choice((-2, -1, 1, 3)),
+                  [rng.randint(0, 1) for _ in retained]
+                  + [rng.randint(-2, 2) for _ in nonneg + zero])
+                 for _ in range(rng.randint(1, 3))]
+    elim = {**dict.fromkeys(nonneg, "nonneg"), **dict.fromkeys(zero, "zero")}
+    return geometric(retained + nonneg + zero, factors, elim,
+                     [(c, tuple(m)) for c, m in numerator])
+
+
+def test_random_expansions_match_unpruned_reference():
+    rng = random.Random(20040058)
+    for _ in range(300):
+        expr = random_expr(rng)
+        wv = WeightVector(rng.randint(2, 8))
+        assert expand_truncated(expr, wv).terms == reference_expand(expr, wv), expr
+
+
+def test_zero_mode_last_coefficient_must_divide_exponent():
+    # m settles at its only factor, coefficient 2: exponent -2 forces one
+    # copy of x, exponent -1 admits none
+    e = geometric(("x", "m"), [(1, 2)], {"m": "zero"},
+                  [(1, (0, -2)), (1, (0, -1))])
+    assert expand_truncated(e, WeightVector(5)).terms == {(1,): 1}
+
+
+def test_nonneg_mode_negative_last_coefficient_bounds_from_above():
+    # l = 3a - 2b >= 0: y's multiplicity b is bounded by 3a // 2
+    e = geometric(("x", "y", "l"), [(1, 0, 3), (0, 1, -2)], {"l": "nonneg"})
+    want = {(a, b): 1 for a in range(7) for b in range(7 - a) if 3 * a >= 2 * b}
+    assert expand_truncated(e, WeightVector(6)).terms == want
+
+
+def test_eliminated_variable_no_factor_touches_is_settled_by_numerator():
+    # l (nonneg) and m (zero) appear only in the numerator: the terms with
+    # l^-1 and m^1 are dropped, the term with l^1 is kept
+    e = geometric(("x", "l", "m"), [(1, 0, 0)], {"l": "nonneg", "m": "zero"},
+                  [(1, (0, 0, 0)), (5, (1, -1, 0)), (7, (0, 0, 1)), (2, (0, 1, 0))])
+    assert expand_truncated(e, WeightVector(4)).terms == {(i,): 3 for i in range(5)}

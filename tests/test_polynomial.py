@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -185,6 +186,21 @@ def test_json_rejects_duplicate_terms():
 def test_json_rejects_non_integer_terms(term):
     doc = {"vars": ["q"], "terms": [{"exps": [0], "coeff": 1}, term]}
     with pytest.raises(ValueError, match="JSON term .* needs integer"):
+        SparsePoly.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vars": "qt", "terms": []}, '"vars" must be a list of strings'),
+    ({"vars": ["q", 1], "terms": []}, '"vars" must be a list of strings'),
+    ({"terms": []}, '"vars" must be a list of strings'),
+    ({"vars": ["q"]}, '"terms" must be a list'),
+    ({"vars": ["q"], "terms": [[1, 2]]}, "must be an object with exps and coeff"),
+    ({"vars": ["q"], "terms": [{"coeff": 1}]}, "must be an object with exps and coeff"),
+    ({"vars": ["q"], "terms": [{"exps": [1]}]}, "must be an object with exps and coeff"),
+    (["q"], "must be an object"),
+])
+def test_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         SparsePoly.from_json(json.dumps(doc))
 
 
