@@ -21,9 +21,6 @@ from dataclasses import dataclass, field
 
 from .dyck import ParamPath3, area_from_runs, bounce_from_runs, ceil_div
 
-PHI_CASES = ("L11", "L12", "L21", "L22")
-PSI_CASES = ("G11", "G12", "G21", "G22", "G31", "G32")
-
 CASE_EXCHANGE = {
     "L11": "L11", "L22": "L22", "L12": "L21", "L21": "L12",
     "G11": "G11", "G32": "G32", "G12": "G21", "G21": "G12",
@@ -53,7 +50,7 @@ def lemma4_check(c: int, d: int) -> bool:
 
 
 def _check_valid(a: int, c: int, b: int, d: int):
-    if b < 0 or d < 0 or a - b < 0 or a - b + c - d < 0:
+    if min(a, c, b, d, a - b, a - b + c - d) < 0:
         raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
 
 
@@ -197,8 +194,10 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
     For each valid (b, d): the image must be a valid path, applying the map
     twice must return to (b, d), area and bounce must be exchanged, and the
     case labels must follow CASE_EXCHANGE.  Failures are recorded, not
-    raised.
+    raised; a negative a or c raises ValueError.
     """
+    if a < 0 or c < 0:
+        raise ValueError(f"verify_involution requires a, c >= 0, got a={a}, c={c}")
     report = InvolutionReport(a, c)
     fail = report.failures.append
     for b in range(a + 1):

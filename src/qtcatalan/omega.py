@@ -167,11 +167,7 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     def rec(j: int, rem: int, sign: int):
         if j == nf:
             key = tuple(cur[i] for i in ret_idx)
-            s = acc.get(key, 0) + sign
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+            acc[key] = acc.get(key, 0) + sign
             return
         wt = fwt[j]
         lo, hi = 0, rem // wt
@@ -215,18 +211,14 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
             cur[i] = mono[i]
         rec(0, rem, coeff)
 
-    result = SparsePoly.zero(expr.retained_vars())
-    result.terms = acc
-    return result
+    return SparsePoly._owning(expr.retained_vars(), acc)
 
 
 def truncate_weighted(p: SparsePoly, wv: WeightVector) -> SparsePoly:
     """Drop terms of weighted degree above wv.bound."""
     w = wv.resolve(p.vars.names)
-    res = SparsePoly.zero(p.vars)
-    res.terms = {exps: c for exps, c in p.terms.items()
-                 if sum(wi * e for wi, e in zip(w, exps)) <= wv.bound}
-    return res
+    return SparsePoly._owning(p.vars, {exps: c for exps, c in p.terms.items()
+                                       if sum(wi * e for wi, e in zip(w, exps)) <= wv.bound})
 
 
 @dataclass(frozen=True)
@@ -243,13 +235,15 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
     """Compare all terms of weighted degree <= wv.bound.
 
     On mismatch the witness is the first differing exponent tuple in
-    canonical (descending lexicographic) order.
+    canonical (descending lexicographic) order.  Only differing terms are
+    weighed, so operands already within the bound are not truncated.
     """
     if p.vars != r.vars:
         raise ValueError(f"variable table mismatch: {p.vars!r} vs {r.vars!r}")
-    pt = truncate_weighted(p, wv).terms
-    rt = truncate_weighted(r, wv).terms
-    diffs = [key for key in set(pt) | set(rt) if pt.get(key, 0) != rt.get(key, 0)]
+    w = wv.resolve(p.vars.names)
+    pt, rt = p.terms, r.terms
+    diffs = [key for key in pt.keys() | rt.keys() if pt.get(key, 0) != rt.get(key, 0)
+             and sum(wi * e for wi, e in zip(w, key)) <= wv.bound]
     if not diffs:
         return SeriesDiff(True)
     key = max(diffs)

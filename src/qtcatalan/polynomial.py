@@ -3,9 +3,10 @@
 A polynomial is stored as a dictionary mapping exponent tuples to nonzero
 integer coefficients, together with a :class:`VarTable` fixing the variable
 names and hence the tuple layout.  Coefficients are plain Python integers,
-so arithmetic is exact at any size.  Exponents may be negative (Laurent
-monomials); callers that require ordinary polynomials assert nonnegativity
-themselves.
+so arithmetic is exact at any size.  Zero coefficients are dropped in one
+place, ``SparsePoly._owning``, which every operation builds its result
+through.  Exponents may be negative (Laurent monomials); callers that
+require ordinary polynomials assert nonnegativity themselves.
 
 Canonical term order is *descending* lexicographic on exponent tuples
 (leading term first).  Serialization, text and LaTeX output all follow it,
@@ -62,26 +63,34 @@ class VarTable:
 class SparsePoly:
     """Exact sparse polynomial over a fixed :class:`VarTable`.
 
-    Zero coefficients are never stored; the zero polynomial has an empty
-    term dictionary.
+    ``terms`` is a plain dict without zero coefficients (empty for zero).
+    The constructor checks and copies a caller's mapping; inside the package
+    results are built by :meth:`_owning`, which both use to drop zeros.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: VarTable, terms: Mapping[tuple[int, ...], int] | None = None):
-        self.vars = vars
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            n = len(vars)
-            for exps, coeff in terms.items():
-                if len(exps) != n:
-                    raise ValueError(f"exponent tuple {exps!r} has length {len(exps)}, expected {n}")
-                if coeff:
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
+        n = len(vars)
+        own: dict[tuple[int, ...], int] = {}
+        for exps, coeff in (terms or {}).items():
+            if len(exps) != n:
+                raise ValueError(f"exponent tuple {exps!r} has length {len(exps)}, expected {n}")
+            own[tuple(exps)] = coeff
+        self.vars, self.terms = vars, SparsePoly._owning(vars, own).terms
 
     # ------------------------------------------------------------------
     # constructors
+
+    @classmethod
+    def _owning(cls, vars: VarTable, terms: dict[tuple[int, ...], int]) -> "SparsePoly":
+        """Package-internal: adopt the plain dict ``terms`` of well-formed
+        exponent tuples, uncopied; its zero coefficients are deleted in place."""
+        for exps in [exps for exps, coeff in terms.items() if not coeff]:
+            del terms[exps]
+        res = object.__new__(cls)
+        res.vars, res.terms = vars, terms
+        return res
 
     @classmethod
     def zero(cls, vars: VarTable) -> "SparsePoly":
@@ -119,21 +128,13 @@ class SparsePoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            s = out.get(exps, 0) + coeff
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        res = SparsePoly.zero(self.vars)
-        res.terms = out
-        return res
+            out[exps] = out.get(exps, 0) + coeff
+        return SparsePoly._owning(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        res = SparsePoly.zero(self.vars)
-        res.terms = {exps: -coeff for exps, coeff in self.terms.items()}
-        return res
+        return SparsePoly._owning(self.vars, {exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly | int") -> "SparsePoly":
         return self + (-self._coerce(other))
@@ -147,14 +148,8 @@ class SparsePoly:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        res = SparsePoly.zero(self.vars)
-        res.terms = out
-        return res
+                out[key] = out.get(key, 0) + ca * cb
+        return SparsePoly._owning(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -186,26 +181,16 @@ class SparsePoly:
     def swap_vars(self, u: str, v: str) -> "SparsePoly":
         """Exchange the exponents of u and v in every term."""
         iu, iv = self.vars.index(u), self.vars.index(v)
-        if iu == iv:
-            return SparsePoly(self.vars, self.terms)
         out = {}
         for exps, coeff in self.terms.items():
             e = list(exps)
             e[iu], e[iv] = e[iv], e[iu]
             out[tuple(e)] = coeff
-        res = SparsePoly.zero(self.vars)
-        res.terms = out
-        return res
+        return SparsePoly._owning(self.vars, out)
 
     def is_symmetric(self, u: str, v: str) -> bool:
         """True iff the polynomial is invariant under exchanging u and v."""
-        iu, iv = self.vars.index(u), self.vars.index(v)
-        for exps, coeff in self.terms.items():
-            e = list(exps)
-            e[iu], e[iv] = e[iv], e[iu]
-            if self.terms.get(tuple(e)) != coeff:
-                return False
-        return True
+        return self.swap_vars(u, v) == self
 
     def coeff(self, partial: Mapping[str, int]) -> "SparsePoly":
         """Coefficient of a partial monomial.
@@ -221,9 +206,7 @@ class SparsePoly:
         for exps, coeff in self.terms.items():
             if all(exps[i] == e for i, e in pinned.items()):
                 out[tuple(exps[i] for i in keep)] = coeff
-        res = SparsePoly.zero(out_vars)
-        res.terms = out
-        return res
+        return SparsePoly._owning(out_vars, out)
 
     def eval_ones(self, names: Iterable[str]) -> "SparsePoly":
         """Substitute 1 for each named variable; result is over the rest."""
@@ -233,14 +216,8 @@ class SparsePoly:
         out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
             key = tuple(exps[i] for i in keep)
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        res = SparsePoly.zero(out_vars)
-        res.terms = out
-        return res
+            out[key] = out.get(key, 0) + coeff
+        return SparsePoly._owning(out_vars, out)
 
     def constant_value(self) -> int:
         """Coefficient of the all-zero monomial."""

@@ -57,6 +57,13 @@ def test_preconditions():
         classify_phi(1, 1, 2, 0)  # invalid path
     with pytest.raises(ValueError):
         psi(2, 1, 0, 4)  # invalid path
+    # negative a or c is no path at all, whichever map the order selects
+    for call in (classify, involution_map):
+        with pytest.raises(ValueError, match="not a valid path"):
+            call(1, -1, 0, 0)
+    for a, c in ((3, -2), (-1, 3)):
+        with pytest.raises(ValueError, match="a, c >= 0"):
+            verify_involution(a, c)
 
 
 def test_apply_involution_round_trip():

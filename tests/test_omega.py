@@ -49,6 +49,9 @@ def test_no_elimination_is_plain_expansion():
     e = geometric(("x",), [(1,)])
     p = expand_truncated(e, WeightVector(6))
     assert p.terms == {(i,): 1 for i in range(7)}
+    # (1 - x) / (1 - x): every higher term cancels in the accumulator
+    e = geometric(("x",), [(1,)], numerator=[(1, (0,)), (-1, (1,))])
+    assert expand_truncated(e, WeightVector(5)).terms == {(0,): 1}
 
 
 def test_monotone_consistency():

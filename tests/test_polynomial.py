@@ -1,9 +1,12 @@
+import ast
 import json
+import pathlib
 import random
 import re
 
 import pytest
 
+import qtcatalan
 from qtcatalan.polynomial import SparsePoly, VarTable
 
 QT = VarTable(("q", "t"))
@@ -73,6 +76,8 @@ def test_vartable_mismatch_raises():
 def test_swap_vars_basic():
     p = mono(QT, {"q": 3}) + mono(QT, {"q": 1, "t": 1})
     assert p.swap_vars("q", "t") == mono(QT, {"t": 3}) + mono(QT, {"q": 1, "t": 1})
+    assert p.swap_vars("q", "q") == p
+    assert p.swap_vars("q", "q").terms is not p.terms
 
 
 def test_swap_vars_is_involution():
@@ -122,6 +127,7 @@ def test_constant_value():
     p = SparsePoly.constant(QT, 5) + mono(QT, {"q": 2})
     assert p.constant_value() == 5
     assert p.eval_ones(["q", "t"]).constant_value() == 6
+    assert (mono(QT, {"q": 1}) - mono(QT, {"t": 1})).eval_ones(["q", "t"]).terms == {}
 
 
 def test_ring_axioms_on_random_operands():
@@ -146,6 +152,32 @@ def test_no_zero_coefficients_after_ops():
         b = random_poly(rng, vars)
         for p in (a + b, a - b, a * b, a + (-b)):
             assert all(c != 0 for c in p.terms.values())
+
+
+def test_constructor_copies_caller_terms():
+    d = {(1, 0): 2, (0, 1): 0}
+    p = SparsePoly(QT, d)
+    assert p.terms == {(1, 0): 2}
+    assert d == {(1, 0): 2, (0, 1): 0}
+    assert p.terms is not d
+    d[(2, 2)] = 5
+    assert (2, 2) not in p.terms
+    assert type(p.terms) is dict
+
+
+def test_only_polynomial_module_assigns_terms():
+    # SparsePoly._owning is the one place zero coefficients are dropped; a
+    # module that sets ``.terms`` itself would bypass it
+    src = pathlib.Path(qtcatalan.__file__).parent
+    stores = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "polynomial.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "terms"
+                    and isinstance(node.ctx, ast.Store)):
+                stores.append(f"{path.name}:{node.lineno}")
+    assert not stores, f"assignments to .terms outside polynomial.py: {stores}"
 
 
 def test_negative_exponents_allowed():
