@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .dyck import (KVec3, Path3, Path4, area3, area4, bounce3, bounce4,
+from .dyck import (KVec3, Path3, Path4, _bounce3, _bounce4, area3, area4,
                    bounce4_case, enumerate_paths3, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
@@ -31,10 +31,7 @@ H_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2", "P2C3", "P3C1", "P3C2", "P3C3")
 
 def region_of_path3(p: Path3) -> str:
     """Bounce region of a length-3 path (partition of the (r2, r3) grid)."""
-    k2, r2, r3 = p.k.k2, p.r2, p.r3
-    if r2 > k2:
-        return "P1C1" if r2 - r3 - k2 >= 0 else "P1C2"
-    return "P2C1" if k2 - r2 - r3 >= 0 else "P2C2"
+    return F_REGIONS[_bounce3(p.k.k1, p.k.k2, p.r2, p.r3)[0]]
 
 
 def region_of_path4(p: Path4) -> str:
@@ -51,21 +48,25 @@ def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> SparsePoly:
     return SparsePoly(VarTable(names), terms)
 
 
-def _paths3(k: KVec3, region: str | None) -> Iterator[Path3]:
+def _scored3(k: KVec3, region: str | None) -> Iterator[tuple[int, int, Path3]]:
+    """(area, bounce, path) for each path for k in ``region`` (None: all)."""
     for p in enumerate_paths3(k):
-        if region is None or region_of_path3(p) == region:
-            yield p
+        i, bounce = _bounce3(k.k1, k.k2, p.r2, p.r3)
+        if region is None or F_REGIONS[i] == region:
+            yield area3(p), bounce, p
 
 
-def _paths4(k: int, region: str | None) -> Iterator[Path4]:
+def _scored4(k: int, region: str | None) -> Iterator[tuple[int, int, Path4]]:
+    """(area, bounce, path) for each path for k^4, as :func:`_scored3`."""
     for p in enumerate_paths4(k):
-        if region is None or region_of_path4(p) == region:
-            yield p
+        case, bounce = _bounce4(k, p.a, p.b, p.c)
+        if region is None or H_REGIONS[case - 1] == region:
+            yield area4(p), bounce, p
 
 
 def catalan_poly3(k: KVec3) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k, over variables (q, t)."""
-    return _tally(QT_VARS, ((area3(p), bounce3(p)) for p in enumerate_paths3(k)))
+    return _tally(QT_VARS, ((area, bounce) for area, bounce, _ in _scored3(k, None)))
 
 
 def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
@@ -87,12 +88,14 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
 
 def catalan_poly_k4(k: int) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k^4."""
-    return _tally(QT_VARS, ((area4(p), bounce4(p)) for p in enumerate_paths4(k)))
+    return _tally(QT_VARS, ((area, bounce) for area, bounce, _ in _scored4(k, None)))
 
 
-def _check_region(region: str | None, allowed: tuple[str, ...]):
+def _check_args(region: str | None, allowed: tuple[str, ...], order: int = 0):
     if region is not None and region not in allowed:
         raise ValueError(f"unknown region {region!r}; expected one of {allowed}")
+    if order < 0:
+        raise ValueError(f"the series order must be nonnegative, got {order}")
 
 
 def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
@@ -100,16 +103,16 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
 
     With ``region`` set, only paths in that bounce region contribute.
     """
-    _check_region(region, F_REGIONS)
-    return _tally(REFINED3_VARS, ((area3(p), bounce3(p), p.r2, p.r3)
-                                  for p in _paths3(k, region)))
+    _check_args(region, F_REGIONS)
+    return _tally(REFINED3_VARS, ((area, bounce, p.r2, p.r3)
+                                  for area, bounce, p in _scored3(k, region)))
 
 
 def refined_poly4(k: int, region: str | None = None) -> SparsePoly:
     """Refined sum q^area t^bounce y2^a y3^b y4^c over (q, t, y2, y3, y4)."""
-    _check_region(region, H_REGIONS)
-    return _tally(REFINED4_VARS, ((area4(p), bounce4(p), p.a, p.b, p.c)
-                                  for p in _paths4(k, region)))
+    _check_args(region, H_REGIONS)
+    return _tally(REFINED4_VARS, ((area, bounce, p.a, p.b, p.c)
+                                  for area, bounce, p in _scored4(k, region)))
 
 
 def _vectors3(max_total: int) -> Iterable[KVec3]:
@@ -123,17 +126,16 @@ def gf_series3(max_total: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k1+k2+k3 <= max_total of x1^k1 x2^k2 x3^k3
     times the (optionally refined, optionally region-filtered) path sum."""
-    _check_region(region, F_REGIONS)
+    _check_args(region, F_REGIONS, max_total)
     return _tally(GF3_REFINED_VARS if refined else GF3_VARS,
-                  ((area3(p), bounce3(p), k.k1, k.k2, k.k3)
-                   + ((p.r2, p.r3) if refined else ())
-                   for k in _vectors3(max_total) for p in _paths3(k, region)))
+                  ((area, bounce, k.k1, k.k2, k.k3) + ((p.r2, p.r3) if refined else ())
+                   for k in _vectors3(max_total) for area, bounce, p in _scored3(k, region)))
 
 
 def gf_series4(max_k: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k <= max_k of x^k times the path sum."""
-    _check_region(region, H_REGIONS)
+    _check_args(region, H_REGIONS, max_k)
     return _tally(GF4_REFINED_VARS if refined else GF4_VARS,
-                  ((area4(p), bounce4(p), k) + ((p.a, p.b, p.c) if refined else ())
-                   for k in range(max_k + 1) for p in _paths4(k, region)))
+                  ((area, bounce, k) + ((p.a, p.b, p.c) if refined else ())
+                   for k in range(max_k + 1) for area, bounce, p in _scored4(k, region)))

@@ -37,8 +37,8 @@ class KVec3:
     k3: int
 
     def __post_init__(self):
-        if min(self.k1, self.k2, self.k3) < 0:
-            raise ValueError(f"vector components must be nonnegative: {self}")
+        if any(type(x) is not int or x < 0 for x in (self.k1, self.k2, self.k3)):
+            raise ValueError(f"vector components must be nonnegative integers: {self}")
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,19 @@ def area3(p: Path3) -> int:
     return p.r2 + p.r3
 
 
-def bounce3(p: Path3) -> int:
-    """Bounce statistic from the red ranks, two-branch formula."""
-    k1, k2, r2, r3 = p.k.k1, p.k.k2, p.r2, p.r3
-    m = min(r2, k2)
+def _bounce3(k1: int, k2: int, r2: int, r3: int) -> tuple[int, int]:
+    """(region, bounce) of the path (r2, r3): the region indexes P1C1, P1C2,
+    P2C1, P2C2 by the branches taken: P1 when m = k2 < r2, C1 when u >= 2m."""
+    part, m = (0, k2) if r2 > k2 else (2, r2)
     u = r2 + k2 - r3
     if u >= 2 * m:
-        return 2 * (k1 - r2) + u - m
-    return 2 * (k1 - r2) + ceil_div(u, 2)
+        return part, 2 * (k1 - r2) + u - m
+    return part + 1, 2 * (k1 - r2) + ceil_div(u, 2)
+
+
+def bounce3(p: Path3) -> int:
+    """Bounce statistic from the red ranks, two-branch formula."""
+    return _bounce3(p.k.k1, p.k.k2, p.r2, p.r3)[1]
 
 
 def area_from_runs(a: int, c: int, b: int, d: int) -> int:
@@ -134,10 +139,7 @@ def area_from_runs(a: int, c: int, b: int, d: int) -> int:
 
 def bounce_from_runs(a: int, c: int, b: int, d: int) -> int:
     """Bounce in run parameters (e plays no role)."""
-    m = min(a - b, c)
-    if d >= 2 * m:
-        return 2 * b + d - m
-    return 2 * b + ceil_div(d, 2)
+    return _bounce3(a, c, a - b, a - b + c - d)[1]
 
 
 def bounce3_bd(p: ParamPath3) -> int:
@@ -162,6 +164,8 @@ def to_redrank3(p: ParamPath3) -> Path3:
 
 def enumerate_paths4(k: int) -> list[Path4]:
     """All paths for k^4, ordered lexicographically by (a, b, c)."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     return [Path4(k, a, b, c)
             for a in range(k + 1)
             for b in range(2 * k - a + 1)
@@ -173,59 +177,44 @@ def area4(p: Path4) -> int:
     return 6 * p.k - 3 * p.a - 2 * p.b - p.c
 
 
-def bounce4_case(p: Path4) -> int:
-    """Index (1..8) of the unique bounce case containing the path.
-
-    All eight predicates are evaluated; exactly one must hold.
-    """
-    k, a, b, c = p.k, p.a, p.b, p.c
+def _bounce4(k: int, a: int, b: int, c: int) -> tuple[int, int]:
+    """(case 1..8, bounce) of the k^4 path (a, b, c), each formula beside its
+    predicate.  All eight predicates are evaluated; exactly one must hold."""
     s = b // 2
     hits = []
     if b >= 2 * k - 2 * a:
         if c >= 4 * k - 2 * a - 2 * b:
-            hits.append(1)
+            hits.append((1, 6 * a + 3 * b + c - 4 * k))
         if c < 4 * k - 2 * a - 2 * b:
-            hits.append(2)
+            hits.append((2, 5 * a + 2 * b + ceil_div(c, 2) - 2 * k))
+    elif b % 2 == 0:
+        # bounds use 3b/2 = 3s for even b = 2s
+        if c >= 3 * k - a - 3 * s:
+            hits.append((3, 4 * a + 2 * b + c - 2 * k))
+        if 3 * k - 3 * a - 3 * s <= c < 3 * k - a - 3 * s:
+            hits.append((4, 2 * a + s + k + ceil_div(3 * a + 3 * s + c - 3 * k, 2)))
+        if c < 3 * k - 3 * a - 3 * s:
+            hits.append((5, 3 * a + b + ceil_div(c, 3)))
     else:
-        if b % 2 == 0:
-            # bounds use 3b/2 = 3s for even b = 2s
-            if c >= 3 * k - a - 3 * s:
-                hits.append(3)
-            if 3 * k - 3 * a - 3 * s <= c < 3 * k - a - 3 * s:
-                hits.append(4)
-            if c < 3 * k - 3 * a - 3 * s:
-                hits.append(5)
-        else:
-            # bounds use 3(b+1)/2 = 3(s+1) for odd b = 2s+1
-            t = 3 * (s + 1)
-            if c >= 3 * k - a - t + 1:
-                hits.append(6)
-            if 3 * k - 3 * a - t + 1 <= c < 3 * k - a - t + 1:
-                hits.append(7)
-            if c < 3 * k - 3 * a - t + 1:
-                hits.append(8)
+        # bounds use 3(b+1)/2 = 3(s+1) for odd b = 2s+1
+        t = 3 * (s + 1)
+        if c >= 3 * k - a - t + 1:
+            hits.append((6, 4 * a + 2 * b + c - 2 * k + 1))
+        if 3 * k - 3 * a - t + 1 <= c < 3 * k - a - t + 1:
+            hits.append((7, 2 * a + s + 1 + k + ceil_div(3 * a + 3 * s + c - 3 * k + 2, 2)))
+        if c < 3 * k - 3 * a - t + 1:
+            hits.append((8, 3 * a + b + 1 + ceil_div(c - 1, 3)))
     if len(hits) != 1:
-        raise AssertionError(f"bounce cases {hits} fired for {p}; expected exactly one")
+        raise AssertionError(f"bounce cases {[case for case, _ in hits]} fired for "
+                             f"Path4(k={k}, a={a}, b={b}, c={c}); expected exactly one")
     return hits[0]
+
+
+def bounce4_case(p: Path4) -> int:
+    """Index (1..8) of the unique bounce case containing the path."""
+    return _bounce4(p.k, p.a, p.b, p.c)[0]
 
 
 def bounce4(p: Path4) -> int:
     """Bounce statistic for k^4 paths, eight-case piecewise formula."""
-    k, a, b, c = p.k, p.a, p.b, p.c
-    case = bounce4_case(p)
-    s = b // 2
-    if case == 1:
-        return 6 * a + 3 * b + c - 4 * k
-    if case == 2:
-        return 5 * a + 2 * b + ceil_div(c, 2) - 2 * k
-    if case == 3:
-        return 4 * a + 2 * b + c - 2 * k
-    if case == 4:
-        return 2 * a + s + k + ceil_div(3 * a + 3 * s + c - 3 * k, 2)
-    if case == 5:
-        return 3 * a + b + ceil_div(c, 3)
-    if case == 6:
-        return 4 * a + 2 * b + c - 2 * k + 1
-    if case == 7:
-        return 2 * a + s + 1 + k + ceil_div(3 * a + 3 * s + c - 3 * k + 2, 2)
-    return 3 * a + b + 1 + ceil_div(c - 1, 3)
+    return _bounce4(p.k, p.a, p.b, p.c)[1]

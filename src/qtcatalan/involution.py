@@ -2,11 +2,12 @@
 
 Paths for (a, c, e) are written in run parameters (b, d) with b <= a and
 b + d <= a + c.  Two maps cover the two regimes: ``phi`` for a <= c and
-``psi`` for a > c.  Each map is classified into labelled cases; applying
-the map sends a case to its partner case (or back to itself), squares to
-the identity, and swaps the two statistics.  ``verify_involution`` checks
-all of this exhaustively for one (a, c) pair and reports failures as data
-rather than raising.
+``psi`` for a > c.  Each map is split into labelled cases, each written
+once as a predicate beside its image (L12 = G22, L21 = G31 and L22 = G32
+share theirs).  Applying the map sends a case to its partner case (or
+back to itself), squares to the identity, and swaps the two statistics.
+``verify_involution`` checks all of this exhaustively for one (a, c) pair
+and reports failures as data rather than raising.
 
 Case labels and their exchange pattern:
 
@@ -49,69 +50,73 @@ def lemma4_check(c: int, d: int) -> bool:
     return parity_y(c, d1) == d & 1
 
 
-def _check_valid(a: int, c: int, b: int, d: int):
-    if min(a, c, b, d, a - b, a - b + c - d) < 0:
-        raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
+def _l12_g22(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Image of (b, d) in L12 and in G22."""
+    x = parity_x(a, c, b, d)
+    num = a - b + c - d - x
+    assert num % 2 == 0
+    return (num // 2, 2 * a - 2 * b + x)
 
 
-def _case(a: int, c: int, b: int, d: int) -> str:
-    """Case label of (b, d) under the map for (a, c); (b, d) must be valid."""
-    if a <= c:
-        if 2 * (a - b) <= d:
-            return "L11" if 3 * b + d - a <= c else "L12"
-        return "L21" if 2 * b + ceil_div(d, 2) <= c else "L22"
-    if b == 0 and d == 2 * c:
-        return "G12"
-    if b == a - c and d == 2 * (a - b):
-        return "G21"
-    if a - b > c and 2 * c <= d:
-        return "G11"
-    if a - b <= c and 2 * (a - b) <= d:
-        return "G22"
-    # remaining region: min(2(a - b), 2c) > d
-    return "G31" if 2 * b + ceil_div(d, 2) <= c else "G32"
+def _l21_g31(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Image of (b, d) in L21 and in G31."""
+    return (a - d // 2, 2 * d - 2 * b + c - 3 * ceil_div(d, 2))
 
 
-def _image(case: str, a: int, c: int, b: int, d: int) -> tuple[int, int]:
-    """Image of (b, d) in the given case of the map for (a, c).
-
-    Three rows are shared by the two maps: L12 = G22, L21 = G31 and
-    L22 = G32.  The G32 image uses b' = a - b - d + (c + ceil(d/2) - Y)/2,
-    the same shape as the L22 row; the subtracted variant fails to be an
-    involution already at (a, c, b, d) = (3, 2, 2, 0).
-    """
-    if case == "L11":
-        return (b, 3 * a - 5 * b + c - d)
-    if case == "G11":
-        return (a - b + c - d, d)
-    if case == "G12":
-        return (a - c, d)
-    if case == "G21":
-        return (0, d)
-    if case in ("L12", "G22"):
-        x = parity_x(a, c, b, d)
-        num = a - b + c - d - x
-        assert num % 2 == 0
-        return (num // 2, 2 * a - 2 * b + x)
-    if case in ("L21", "G31"):
-        return (a - d // 2, 2 * d - 2 * b + c - 3 * ceil_div(d, 2))
+def _l22_g32(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Image of (b, d) in L22 and in G32: b' = a - b - d + (c + ceil(d/2) - Y)/2;
+    subtracting instead fails to be an involution at (a, c, b, d) = (3, 2, 2, 0)."""
     y = parity_y(c, d)
     num = c + ceil_div(d, 2) - y
     assert num % 2 == 0
     return (a - b - d + num // 2, 2 * (d // 2) + y)
 
 
+def _case(a: int, c: int, b: int, d: int) -> tuple[str, tuple[int, int]]:
+    """(label, image) of (b, d) under the map for (a, c); (b, d) must be valid."""
+    if a <= c:
+        if 2 * (a - b) <= d:
+            if 3 * b + d - a <= c:
+                return "L11", (b, 3 * a - 5 * b + c - d)
+            return "L12", _l12_g22(a, c, b, d)
+        if 2 * b + ceil_div(d, 2) <= c:
+            return "L21", _l21_g31(a, c, b, d)
+        return "L22", _l22_g32(a, c, b, d)
+    if b == 0 and d == 2 * c:
+        return "G12", (a - c, d)
+    if b == a - c and d == 2 * (a - b):
+        return "G21", (0, d)
+    if a - b > c and 2 * c <= d:
+        return "G11", (a - b + c - d, d)
+    if a - b <= c and 2 * (a - b) <= d:
+        return "G22", _l12_g22(a, c, b, d)
+    # remaining region: min(2(a - b), 2c) > d
+    if 2 * b + ceil_div(d, 2) <= c:
+        return "G31", _l21_g31(a, c, b, d)
+    return "G32", _l22_g32(a, c, b, d)
+
+
+def _checked_case(a: int, c: int, b: int, d: int, name: str,
+                  a_le_c: bool | None) -> tuple[str, tuple[int, int]]:
+    """:func:`_case` after checking the input to ``name``: integers, a valid path,
+    and a <= c iff ``a_le_c`` (None: either map)."""
+    if not all(type(x) is int for x in (a, c, b, d)):
+        raise ValueError(f"{name} requires integers, got {(a, c, b, d)!r}")
+    if a_le_c is not None and (a <= c) != a_le_c:
+        raise ValueError(f"{name} requires a {'<=' if a_le_c else '>'} c, got a={a}, c={c}")
+    if min(a, c, b, d, a - b, a - b + c - d) < 0:
+        raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
+    return _case(a, c, b, d)
+
+
 def classify_phi(a: int, c: int, b: int, d: int) -> str:
     """Case label for the a <= c map."""
-    if a > c:
-        raise ValueError(f"classify_phi requires a <= c, got a={a}, c={c}")
-    _check_valid(a, c, b, d)
-    return _case(a, c, b, d)
+    return _checked_case(a, c, b, d, "classify_phi", True)[0]
 
 
 def phi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
     """Involution on paths with a <= c, exchanging area and bounce."""
-    return _image(classify_phi(a, c, b, d), a, c, b, d)
+    return _checked_case(a, c, b, d, "phi", True)[1]
 
 
 def classify_psi(a: int, c: int, b: int, d: int) -> str:
@@ -120,25 +125,22 @@ def classify_psi(a: int, c: int, b: int, d: int) -> str:
     The two singleton cases G12 (b = 0, d = 2c) and G21 (b = a - c,
     d = 2(a - b)) are carved out of their enclosing regions first.
     """
-    if a <= c:
-        raise ValueError(f"classify_psi requires a > c, got a={a}, c={c}")
-    _check_valid(a, c, b, d)
-    return _case(a, c, b, d)
+    return _checked_case(a, c, b, d, "classify_psi", False)[0]
 
 
 def psi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
     """Involution on paths with a > c, exchanging area and bounce."""
-    return _image(classify_psi(a, c, b, d), a, c, b, d)
+    return _checked_case(a, c, b, d, "psi", False)[1]
 
 
 def classify(a: int, c: int, b: int, d: int) -> str:
     """Case label under the map that applies to (a, c)."""
-    return classify_phi(a, c, b, d) if a <= c else classify_psi(a, c, b, d)
+    return _checked_case(a, c, b, d, "classify", None)[0]
 
 
 def involution_map(a: int, c: int, b: int, d: int) -> tuple[int, int]:
     """Image of (b, d) under phi (a <= c) or psi (a > c)."""
-    return phi(a, c, b, d) if a <= c else psi(a, c, b, d)
+    return _checked_case(a, c, b, d, "involution_map", None)[1]
 
 
 def apply_involution(p: ParamPath3) -> ParamPath3:
@@ -194,22 +196,21 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
     For each valid (b, d): the image must be a valid path, applying the map
     twice must return to (b, d), area and bounce must be exchanged, and the
     case labels must follow CASE_EXCHANGE.  Failures are recorded, not
-    raised; a negative a or c raises ValueError.
+    raised; a negative or non-integer a or c raises ValueError.
     """
-    if a < 0 or c < 0:
-        raise ValueError(f"verify_involution requires a, c >= 0, got a={a}, c={c}")
+    if type(a) is not int or type(c) is not int or a < 0 or c < 0:
+        raise ValueError(f"verify_involution requires integers a, c >= 0, got a={a!r}, c={c!r}")
     report = InvolutionReport(a, c)
     fail = report.failures.append
     for b in range(a + 1):
         for d in range(a - b + c + 1):
             report.checked += 1
-            label = _case(a, c, b, d)
-            b2, d2 = _image(label, a, c, b, d)
+            label, (b2, d2) = _case(a, c, b, d)
             if b2 < 0 or d2 < 0 or a - b2 < 0 or a - b2 + c - d2 < 0:
                 fail(Failure(b, d, "invalid_image"))
                 continue
-            label2 = _case(a, c, b2, d2)
-            if _image(label2, a, c, b2, d2) != (b, d):
+            label2, back = _case(a, c, b2, d2)
+            if back != (b, d):
                 fail(Failure(b, d, "not_involution"))
                 continue
             if (area_from_runs(a, c, b2, d2) != bounce_from_runs(a, c, b, d)

@@ -105,6 +105,32 @@ def test_unknown_region_rejected():
         refined_poly4(1, "P4C1")
 
 
+def test_negative_sizes_rejected():
+    for build in (catalan_poly_k4, refined_poly4, gf_series3, gf_series4):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                build(n)
+
+
+def test_f_partition_follows_the_paper_inequalities():
+    # P1 is r2 > k2 (the tie r2 = k2 is P2, as the crude systems cut it);
+    # C1 is r2 - r3 - k2 >= 0 in P1 and k2 - r2 - r3 >= 0 in P2
+    for k1 in range(9):
+        for k2 in range(9):
+            k = KVec3(k1, k2, 0)
+            counts = dict.fromkeys(F_REGIONS, 0)
+            for p in enumerate_paths3(k):
+                r2, r3 = p.r2, p.r3
+                if r2 > k2:
+                    region = "P1C1" if r2 - r3 - k2 >= 0 else "P1C2"
+                else:
+                    region = "P2C1" if k2 - r2 - r3 >= 0 else "P2C2"
+                assert region_of_path3(p) == region, (k1, k2, r2, r3)
+                counts[region] += 1
+            for region, n in counts.items():
+                assert sum(refined_poly3(k, region).terms.values()) == n, (k1, k2, region)
+
+
 def test_region_of_path3_matches_filters():
     k = KVec3(3, 2, 0)
     seen = {region: 0 for region in F_REGIONS}

@@ -1,7 +1,7 @@
 import pytest
 
-from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, area3, area4,
-                            bounce3, bounce3_bd, bounce4, bounce4_case,
+from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce4, area3,
+                            area4, bounce3, bounce3_bd, bounce4, bounce4_case,
                             ceil_div, count_paths3, enumerate_paths3,
                             enumerate_paths4, to_param3, to_redrank3)
 
@@ -30,6 +30,9 @@ def test_ceil_div_rejects_nonpositive_divisor():
 def test_kvec_validation():
     with pytest.raises(ValueError):
         KVec3(1, -1, 0)
+    for bad in ((1.5, 0, 0), (1, True, 0), (0, 0, "2")):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            KVec3(*bad)
 
 
 def test_path3_validation():
@@ -123,6 +126,8 @@ def test_param_path_validation():
 
 
 def test_enumerate_paths4_counts():
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_paths4(-1)
     assert [(p.a, p.b, p.c) for p in enumerate_paths4(0)] == [(0, 0, 0)]
     assert len(enumerate_paths4(1)) == 14
     ps = [(p.a, p.b, p.c) for p in enumerate_paths4(2)]
@@ -158,3 +163,11 @@ def test_bounce4_cases_partition_small():
             assert 1 <= case <= 8
             assert area4(p) >= 0
             assert bounce4(p) >= 0
+
+
+def test_bounce4_overlapping_cases_name_the_path():
+    # a = -1 is no path: its even-b bounds overlap, so cases 3 and 5 both
+    # fire, which only shows when every predicate is evaluated
+    with pytest.raises(AssertionError,
+                       match=r"\[3, 5\] fired for Path4\(k=0, a=-1, b=0, c=1\)"):
+        _bounce4(0, -1, 0, 1)

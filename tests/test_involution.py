@@ -66,6 +66,17 @@ def test_preconditions():
             verify_involution(a, c)
 
 
+def test_non_integers_rejected():
+    for call, args in ((phi, (1, 2, 0.5, 0)), (classify, (True, 3, 0, 0)),
+                       (classify_phi, (1, 2, 0, 1.0)), (psi, (3, 1, 0, False)),
+                       (classify_psi, (3.0, 1, 0, 0)), (involution_map, (1, "2", 0, 0))):
+        with pytest.raises(ValueError, match="requires integers"):
+            call(*args)
+    for a, c in ((2.5, 1), (1, True), (2, 1.0)):
+        with pytest.raises(ValueError, match="requires integers a, c >= 0"):
+            verify_involution(a, c)
+
+
 def test_apply_involution_round_trip():
     p = ParamPath3(1, 1, 1, 0, 0)
     q = apply_involution(p)
