@@ -94,8 +94,8 @@ def catalan_poly_k4(k: int) -> SparsePoly:
 def _check_args(region: str | None, allowed: tuple[str, ...], order: int = 0):
     if region is not None and region not in allowed:
         raise ValueError(f"unknown region {region!r}; expected one of {allowed}")
-    if order < 0:
-        raise ValueError(f"the series order must be nonnegative, got {order}")
+    if type(order) is not int or order < 0:
+        raise ValueError(f"the series order must be a nonnegative integer, got {order!r}")
 
 
 def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:

@@ -12,9 +12,8 @@ import csv
 import json
 import sys
 
-from .catalan import (catalan_poly3, catalan_poly_k4, catalan_poly_lambda3,
-                      region_of_path4)
-from .dyck import (KVec3, area3, area4, bounce3, bounce4, enumerate_paths3,
+from .catalan import H_REGIONS, catalan_poly3, catalan_poly_k4, catalan_poly_lambda3
+from .dyck import (KVec3, _bounce4, area3, area4, bounce3, enumerate_paths3,
                    enumerate_paths4, to_param3)
 from .involution import classify, verify_involution
 from .omega import GF_SECTIONS, check_gf_section
@@ -119,9 +118,9 @@ def _table_stats3(k: KVec3, fmt: str):
 def _table_stats4(k: int, fmt: str):
     rows = []
     for p in enumerate_paths4(k):
-        rows.append({"a": p.a, "b": p.b, "c": p.c,
-                     "area": area4(p), "bounce": bounce4(p),
-                     "case": region_of_path4(p)})
+        case, bounce = _bounce4(k, p.a, p.b, p.c)
+        rows.append({"a": p.a, "b": p.b, "c": p.c, "area": area4(p),
+                     "bounce": bounce, "case": H_REGIONS[case - 1]})
     _emit_table(rows, ("a", "b", "c", "area", "bounce", "case"), fmt)
 
 

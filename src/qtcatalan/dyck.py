@@ -164,8 +164,8 @@ def to_redrank3(p: ParamPath3) -> Path3:
 
 def enumerate_paths4(k: int) -> list[Path4]:
     """All paths for k^4, ordered lexicographically by (a, b, c)."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     return [Path4(k, a, b, c)
             for a in range(k + 1)
             for b in range(2 * k - a + 1)

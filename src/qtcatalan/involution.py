@@ -18,7 +18,7 @@ Case labels and their exchange pattern:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dyck import ParamPath3, area_from_runs, bounce_from_runs, ceil_div
 
@@ -170,13 +170,7 @@ class InvolutionReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "c": self.c,
-            "checked": self.checked,
-            "failures": [{"b": f.b, "d": f.d, "reason": f.reason}
-                         for f in self.failures],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -22,12 +22,14 @@ and Riese; Xin); so the search visits a few nodes per emitted term.
 
 The crude generating functions for the two path families are *generated*
 from their linear constraint systems by :func:`build_crude_F` and
-:func:`build_crude_H`: every summation variable becomes a geometric
-factor, every inequality L >= 0 becomes a slack variable exponent, and
-every ceiling p = ceil(A/z) becomes an auxiliary variable of mode ``zero``
-with numerator 1 + mu + ... + mu^(z-1) and exponent A - z*p.  The closed
-rational forms they eliminate to are transcribed in
-``data/closed_forms.json`` and loaded by :func:`closed_form`.
+:func:`build_crude_H`.  A region's crude form is one coefficient table, a
+row per variable and a column per summation variable: the retained
+variables' functionals, a slack row per inequality L >= 0, and a row
+A - z*p per ceiling p = ceil(A/z), whose auxiliary variable has mode
+``zero`` and numerator 1 + mu + ... + mu^(z-1).  Each column is a
+geometric factor, as in Xin's fast algorithm.  The closed rational forms
+they eliminate to are transcribed in ``data/closed_forms.json`` and
+loaded by :func:`closed_form`.
 
 Each region's system is written as cut lines, each once: case i of a split
 holds cut i and fails cut i - 1, whose strict complement -L - 1 >= 0 is
@@ -39,8 +41,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from importlib import resources
+from itertools import product
 from typing import Mapping, Sequence
 
 from .catalan import (F_REGIONS, GF3_REFINED_VARS, GF4_REFINED_VARS,
@@ -67,12 +70,12 @@ class WeightVector:
     weights: Mapping[str, int] | None = None
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {self.bound}")
+        if type(self.bound) is not int or self.bound < 0:
+            raise ValueError(f"bound must be a nonnegative integer, got {self.bound!r}")
         if self.weights:
-            bad = {n: w for n, w in self.weights.items() if w < 0}
+            bad = {n: w for n, w in self.weights.items() if type(w) is not int or w < 0}
             if bad:
-                raise ValueError(f"weights must be nonnegative: {bad}")
+                raise ValueError(f"weights must be nonnegative integers: {bad}")
 
     def resolve(self, names: Sequence[str]) -> list[int]:
         """Weights for the given variables, defaulting to 1."""
@@ -313,51 +316,6 @@ H_BASE_WEIGHTS = {"q": 1, "t": 1, "y2": 2, "y3": 2, "y4": 2}
 Linear = Mapping[str, int]  # sum-variable coefficients, "const" for the constant
 
 
-def _assemble(retained: Sequence[str], sum_vars: Sequence[str],
-              functionals: Mapping[str, Linear],
-              constraints: Sequence[Linear],
-              ceilings: Sequence[tuple[int, Linear, str]]) -> FactoredOmegaExpr:
-    """Build the crude expression for one region.
-
-    ``functionals`` gives, per retained variable, its exponent as a linear
-    function of the summation variables; ``constraints`` lists the
-    inequalities L >= 0; ``ceilings`` lists (z, A, p) encodings of
-    p = ceil(A/z).
-    """
-    lam_names = [f"l{i + 1}" for i in range(len(constraints))]
-    mu_names = [f"mu{i + 1}" if len(ceilings) > 1 else "mu"
-                for i in range(len(ceilings))]
-    all_names = list(retained) + lam_names + mu_names
-    vt = VarTable(all_names)
-    elim = {n: MODE_NONNEG for n in lam_names}
-    elim.update({n: MODE_ZERO for n in mu_names})
-
-    def coef_of(name: str, v: str) -> int:
-        if name in functionals:
-            return functionals[name].get(v, 0)
-        if name in lam_names:
-            return constraints[lam_names.index(name)].get(v, 0)
-        z, a_func, p_name = ceilings[mu_names.index(name)]
-        return a_func.get(v, 0) - (z if v == p_name else 0)
-
-    factors = []
-    for v in sum_vars:
-        factors.append(tuple(coef_of(name, v) for name in all_names))
-
-    base = tuple(coef_of(name, "const") for name in all_names)
-    numerator = [(1, base)]
-    for idx, (z, _a, _p) in enumerate(ceilings):
-        mu_i = vt.index(mu_names[idx])
-        expanded = []
-        for coeff, mono in numerator:
-            for j in range(z):
-                m = list(mono)
-                m[mu_i] += j
-                expanded.append((coeff, tuple(m)))
-        numerator = expanded
-    return FactoredOmegaExpr(vt, numerator, factors, elim)
-
-
 def _negated(row: Linear) -> Linear:
     """Strict complement of ``row >= 0``, written ``-row - 1 >= 0``."""
     out = {v: -c for v, c in row.items()}
@@ -427,15 +385,30 @@ def _crude(retained: Sequence[str], base: Mapping[str, Linear],
            rows: list[Linear], part: tuple, case: int, form=dict) -> FactoredOmegaExpr:
     """Crude expression of ``case`` of ``part`` within the part's ``rows``.
 
-    ``form`` rewrites every row, functional and ceiling of the region; the
-    default copies them as written.
+    The region is one coefficient table with a row per variable, in
+    variable order: the retained functionals (``base``, and the bounce as
+    "t"), the slack rows L >= 0 (l1.., ``nonneg``), then a row A - z*p per
+    ceiling p = ceil(A/z) (mu, or mu1.. for two; ``zero``).  ``form``
+    rewrites each row once; the default copies it as written.  Each
+    summation variable's column is a factor, the "const" column is the
+    base monomial, and the numerator runs each mu through range(z).
     """
     sum_vars, cuts, cases = part
     bounce, ceilings = cases[case]
-    functionals = {name: form(f) for name, f in {**base, "t": bounce}.items()}
-    return _assemble(retained, tuple(v for v in sum_vars if v != "p" or ceilings),
-                     functionals, [form(row) for row in rows + _case(cuts, case)],
-                     [(z, form(a), p) for z, a, p in ceilings])
+    slack = rows + _case(cuts, case)
+    lams = [f"l{i + 1}" for i in range(len(slack))]
+    mus = [f"mu{i + 1}" if len(ceilings) > 1 else "mu" for i in range(len(ceilings))]
+    functionals = {**base, "t": bounce}
+    table = [form(row) for row in [functionals[name] for name in retained] + slack
+             + [{**a, p: a.get(p, 0) - z} for z, a, p in ceilings]]
+    factors = [tuple(row.get(v, 0) for row in table)
+               for v in sum_vars if v != "p" or ceilings]
+    const = [row.get("const", 0) for row in table]
+    pad = (0,) * (len(table) - len(ceilings))
+    numerator = [(1, tuple(c + j for c, j in zip(const, pad + js)))
+                 for js in product(*(range(z) for z, _, _ in ceilings))]
+    return FactoredOmegaExpr(VarTable([*retained, *lams, *mus]), numerator, factors,
+                             dict.fromkeys(lams, MODE_NONNEG) | dict.fromkeys(mus, MODE_ZERO))
 
 
 def _part_case(region: str, regions: tuple[str, ...]) -> tuple[int, int]:
@@ -454,11 +427,9 @@ def build_crude_F(region: str) -> FactoredOmegaExpr:
 def build_crude_H(region: str) -> FactoredOmegaExpr:
     """Crude generating function for one k^4 bounce region."""
     part, case = _part_case(region, H_REGIONS)
-    rows = _DOMAIN4 + _case(_H_PART_CUTS, min(part, 1))  # parts 2 and 3 fail it
-    if part == 0:
-        return _crude(GF4_REFINED_VARS, _BASE4, rows, _H_PARTS[0], case)
-    return _crude(GF4_REFINED_VARS, _BASE4, rows, _H_PARTS[1], case,
-                  lambda row: _at_parity(row, part - 1))
+    half = min(part, 1)  # parts 2 and 3 fail the part cut and share a table
+    return _crude(GF4_REFINED_VARS, _BASE4, _DOMAIN4 + _case(_H_PART_CUTS, half),
+                  _H_PARTS[half], case, partial(_at_parity, r=part - 1) if part else dict)
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,15 @@ def test_negative_sizes_rejected():
                 build(n)
 
 
+@pytest.mark.parametrize("build, n", [
+    (gf_series3, 1.5), (gf_series3, True), (gf_series4, 2.0),
+    (catalan_poly_k4, 2.0), (refined_poly4, 1.0),
+])
+def test_non_integer_sizes_rejected(build, n):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        build(n)
+
+
 def test_f_partition_follows_the_paper_inequalities():
     # P1 is r2 > k2 (the tie r2 = k2 is P2, as the crude systems cut it);
     # C1 is r2 - r3 - k2 >= 0 in P1 and k2 - r2 - r3 >= 0 in P2

@@ -128,6 +128,25 @@ def test_table_stats4(capsys):
     assert {"a", "b", "c", "area", "bounce", "case"} <= set(rows[0])
 
 
+def test_table_stats4_classifies_each_path_once(capsys, monkeypatch):
+    import qtcatalan.cli as cli_mod
+    import qtcatalan.dyck as dyck_mod
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = dyck_mod._bounce4
+    monkeypatch.setattr(dyck_mod, "_bounce4", counting)
+    monkeypatch.setattr(cli_mod, "_bounce4", counting, raising=False)
+    code, out, _ = run(capsys, "table", "--what", "stats4", "--k", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 140
+    assert len(calls) == 140
+
+
 def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):
     import qtcatalan.cli as cli_mod
     from qtcatalan.polynomial import SparsePoly, VarTable

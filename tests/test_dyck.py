@@ -134,6 +134,12 @@ def test_enumerate_paths4_counts():
     assert ps == sorted(ps)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, 1.5, "2"])
+def test_enumerate_paths4_rejects_non_integers(k):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        enumerate_paths4(k)
+
+
 def test_path4_validation_and_red_ranks():
     with pytest.raises(ValueError):
         Path4(1, 2, 0, 0)

@@ -80,6 +80,17 @@ def test_weight_vector_validation():
         expand_truncated(e, WeightVector(3, {"nope": 1}))
 
 
+def test_weight_vector_rejects_non_integers():
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            WeightVector(bad)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        WeightVector(3, {"q": 1.5})
+    oracle = gf_series3(1)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 2.5)
+
+
 def test_series_equal_reports_leading_witness():
     qt = VarTable(("q", "t"))
     one_q = SparsePoly(qt, {(0, 0): 1, (1, 0): 1})
