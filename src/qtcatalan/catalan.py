@@ -10,7 +10,9 @@ Region labels: P1C1..P2C2 for length-3 vectors, P1C1..P3C3 for k^4.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
+from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (KVec3, Path3, Path4, _bounce3, _bounce4, area3, area4,
@@ -66,6 +68,7 @@ def _scored4(k: int, region: str | None) -> Iterator[tuple[int, int, Path4]]:
 
 def catalan_poly3(k: KVec3) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k, over variables (q, t)."""
+    _check_k3(k)
     return _tally(QT_VARS, ((area, bounce) for area, bounce, _ in _scored3(k, None)))
 
 
@@ -91,11 +94,19 @@ def catalan_poly_k4(k: int) -> SparsePoly:
     return _tally(QT_VARS, ((area, bounce) for area, bounce, _ in _scored4(k, None)))
 
 
-def _check_args(region: str | None, allowed: tuple[str, ...], order: int = 0):
+def _check_args(region: str | None, allowed: tuple[str, ...], order: int = 0,
+                refined: bool = False):
     if region is not None and region not in allowed:
         raise ValueError(f"unknown region {region!r}; expected one of {allowed}")
     if type(order) is not int or order < 0:
         raise ValueError(f"the series order must be a nonnegative integer, got {order!r}")
+    if type(refined) is not bool:
+        raise ValueError(f"refined must be True or False, got {refined!r}")
+
+
+def _check_k3(k: KVec3):
+    if not isinstance(k, KVec3):
+        raise ValueError(f"expected a KVec3 vector, got {k!r}")
 
 
 def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
@@ -103,6 +114,7 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
 
     With ``region`` set, only paths in that bounce region contribute.
     """
+    _check_k3(k)
     _check_args(region, F_REGIONS)
     return _tally(REFINED3_VARS, ((area, bounce, p.r2, p.r3)
                                   for area, bounce, p in _scored3(k, region)))
@@ -115,27 +127,77 @@ def refined_poly4(k: int, region: str | None = None) -> SparsePoly:
                                   for area, bounce, p in _scored4(k, region)))
 
 
-def _vectors3(max_total: int) -> Iterable[KVec3]:
+def _gf_paths3(max_total: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(k1, k2, k3, r2, r3) for each path of each vector with k1 + k2 + k3 <=
+    max_total, as plain tuples, in the ranges of :func:`enumerate_paths3`."""
     for k1 in range(max_total + 1):
         for k2 in range(max_total - k1 + 1):
             for k3 in range(max_total - k1 - k2 + 1):
-                yield KVec3(k1, k2, k3)
+                for r2 in range(k1 + 1):
+                    for r3 in range(r2 + k2 + 1):
+                        yield k1, k2, k3, r2, r3
+
+
+def _gf_paths4(max_k: int) -> Iterator[tuple[int, int, int, int]]:
+    """(k, a, b, c) for each path for k^4 with k <= max_k, as plain tuples,
+    in the ranges of :func:`enumerate_paths4`."""
+    for k in range(max_k + 1):
+        for a in range(k + 1):
+            for b in range(2 * k - a + 1):
+                for c in range(3 * k - a - b + 1):
+                    yield k, a, b, c
+
+
+# Each path's region (F region index 0..3, k^4 case 1..8) and bounce, in
+# the order of _gf_paths3/4, for the last order asked: one classification
+# per path, however many regions are tallied, and five bytes kept per
+# path: a byte for the region and a C unsigned int for the bounce, read
+# back through a memoryview (the array module would add an extension
+# module to every import).
+_BOUNCE = Struct("I")
+
+
+def _record(classified: Iterable[tuple[int, int]]) -> tuple[bytes, memoryview]:
+    regions, bounces = bytearray(), bytearray()
+    for region, bounce in classified:
+        regions.append(region)
+        bounces += _BOUNCE.pack(bounce)
+    return bytes(regions), memoryview(bounces).toreadonly().cast("I")
+
+
+@lru_cache(maxsize=1)
+def _classified3(max_total: int) -> tuple[bytes, memoryview]:
+    return _record(_bounce3(k1, k2, r2, r3) for k1, k2, _, r2, r3 in _gf_paths3(max_total))
+
+
+@lru_cache(maxsize=1)
+def _classified4(max_k: int) -> tuple[bytes, memoryview]:
+    return _record(_bounce4(*path) for path in _gf_paths4(max_k))
 
 
 def gf_series3(max_total: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k1+k2+k3 <= max_total of x1^k1 x2^k2 x3^k3
     times the (optionally refined, optionally region-filtered) path sum."""
-    _check_args(region, F_REGIONS, max_total)
+    _check_args(region, F_REGIONS, max_total, refined)
+    want = None if region is None else F_REGIONS.index(region)
+    regions, bounces = _classified3(max_total)
+    # the area is r2 + r3, as in area3
     return _tally(GF3_REFINED_VARS if refined else GF3_VARS,
-                  ((area, bounce, k.k1, k.k2, k.k3) + ((p.r2, p.r3) if refined else ())
-                   for k in _vectors3(max_total) for area, bounce, p in _scored3(k, region)))
+                  ((r2 + r3, bounce, k1, k2, k3) + ((r2, r3) if refined else ())
+                   for (k1, k2, k3, r2, r3), i, bounce
+                   in zip(_gf_paths3(max_total), regions, bounces)
+                   if want is None or i == want))
 
 
 def gf_series4(max_k: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k <= max_k of x^k times the path sum."""
-    _check_args(region, H_REGIONS, max_k)
+    _check_args(region, H_REGIONS, max_k, refined)
+    want = None if region is None else H_REGIONS.index(region) + 1
+    regions, bounces = _classified4(max_k)
+    # the area is 6k - 3a - 2b - c, as in area4
     return _tally(GF4_REFINED_VARS if refined else GF4_VARS,
-                  ((area, bounce, k) + ((p.a, p.b, p.c) if refined else ())
-                   for k in range(max_k + 1) for area, bounce, p in _scored4(k, region)))
+                  ((6 * k - 3 * a - 2 * b - c, bounce, k) + ((a, b, c) if refined else ())
+                   for (k, a, b, c), case, bounce in zip(_gf_paths4(max_k), regions, bounces)
+                   if want is None or case == want))

@@ -213,6 +213,9 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
         for i in range(n_all):
             cur[i] = mono[i]
         rec(0, rem, coeff)
+    # rec refers to itself; without this the cycle would keep acc, the
+    # result's terms, alive until the cyclic GC next runs
+    del rec
 
     return SparsePoly._owning(expr.retained_vars(), acc)
 

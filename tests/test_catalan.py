@@ -1,10 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, catalan_poly3,
                                catalan_poly_k4, catalan_poly_lambda3,
                                gf_series3, gf_series4, refined_poly3,
-                               refined_poly4, region_of_path3)
-from qtcatalan.dyck import KVec3, enumerate_paths3
+                               refined_poly4, region_of_path3, region_of_path4)
+from qtcatalan.dyck import (KVec3, area3, area4, bounce3, bounce4,
+                            enumerate_paths3, enumerate_paths4)
 from qtcatalan.polynomial import SparsePoly, VarTable
 
 QT = VarTable(("q", "t"))
@@ -98,6 +101,19 @@ def test_refined_poly4_collapses_and_partitions():
         assert total == refined_poly4(k)
 
 
+def test_non_vector_rejected():
+    for build in (catalan_poly3, refined_poly3):
+        with pytest.raises(ValueError, match="KVec3"):
+            build((1, 1, 1))
+
+
+@pytest.mark.parametrize("build", [gf_series3, gf_series4])
+@pytest.mark.parametrize("refined", ["yes", 1, None])
+def test_gf_series_refined_must_be_a_bool(build, refined):
+    with pytest.raises(ValueError, match="refined"):
+        build(2, refined=refined)
+
+
 def test_unknown_region_rejected():
     with pytest.raises(ValueError, match="unknown region"):
         refined_poly3(KVec3(1, 1, 1), "P3C1")
@@ -162,3 +178,47 @@ def test_gf_series4_structure():
     assert s.coeff({"x": 0}).constant_value() == 1
     assert s.coeff({"x": 1}) == catalan_poly_k4(1)
     assert gf_series4(2, refined=True).eval_ones(["y2", "y3", "y4"]) == s
+
+
+def reference_gf3(n, region, refined):
+    """gf_series3 from validated Path3 objects and the public statistics."""
+    names = ("q", "t", "x1", "x2", "x3") + (("y2", "y3") if refined else ())
+    terms = Counter()
+    for k1 in range(n + 1):
+        for k2 in range(n - k1 + 1):
+            for k3 in range(n - k1 - k2 + 1):
+                for p in enumerate_paths3(KVec3(k1, k2, k3)):
+                    if region in (None, region_of_path3(p)):
+                        terms[(area3(p), bounce3(p), k1, k2, k3)
+                              + ((p.r2, p.r3) if refined else ())] += 1
+    return SparsePoly(VarTable(names), terms)
+
+
+def reference_gf4(n, region, refined):
+    """gf_series4 from validated Path4 objects and the public statistics."""
+    names = ("q", "t", "x") + (("y2", "y3", "y4") if refined else ())
+    terms = Counter()
+    for k in range(n + 1):
+        for p in enumerate_paths4(k):
+            if region in (None, region_of_path4(p)):
+                terms[(area4(p), bounce4(p), k)
+                      + ((p.a, p.b, p.c) if refined else ())] += 1
+    return SparsePoly(VarTable(names), terms)
+
+
+@pytest.mark.parametrize("series, reference, regions", [
+    (gf_series3, reference_gf3, F_REGIONS),
+    (gf_series4, reference_gf4, H_REGIONS),
+], ids=("gf3", "gf4"))
+def test_gf_series_matches_path_object_reference(series, reference, regions):
+    for n in range(5):
+        for refined in (False, True):
+            for region in (None,) + regions:
+                got = series(n, region=region, refined=refined)
+                want = reference(n, region, refined)
+                assert got.vars == want.vars and got == want, (n, region, refined)
+            total = series(n, refined=refined)
+            parts = SparsePoly.zero(total.vars)
+            for region in regions:
+                parts = parts + series(n, region=region, refined=refined)
+            assert parts == total, (n, refined)

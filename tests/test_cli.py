@@ -147,6 +147,35 @@ def test_table_stats4_classifies_each_path_once(capsys, monkeypatch):
     assert len(calls) == 140
 
 
+def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
+    import qtcatalan.catalan as catalan_mod
+
+    calls = {3: 0, 4: 0}
+
+    def counting(family, real):
+        def wrapper(*args):
+            calls[family] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(catalan_mod, "_bounce3", counting(3, catalan_mod._bounce3))
+    monkeypatch.setattr(catalan_mod, "_bounce4", counting(4, catalan_mod._bounce4))
+    for classified in (catalan_mod._classified3, catalan_mod._classified4):
+        classified.cache_clear()
+    code, out, _ = run(capsys, "verify", "--suite", "gf", "--truncate", "8")
+    assert code == 0
+    assert out == '{"suite": "gf", "status": "pass", "checked": 10528}\n'
+    # one classification per path, however many sections read it: 2,079
+    # paths with k1 + k2 + k3 <= 8 and 4,845 k^4 paths with k <= 8
+    assert calls == {3: 2079, 4: 4845}
+    # the cache keeps five bytes per path, not a term dict per region
+    for classified, paths in ((catalan_mod._classified3, 2079),
+                              (catalan_mod._classified4, 4845)):
+        regions, bounces = classified(8)
+        assert (type(regions), len(regions)) == (bytes, paths)
+        assert (type(bounces), len(bounces), bounces.nbytes) == (memoryview, paths, 4 * paths)
+
+
 def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):
     import qtcatalan.cli as cli_mod
     from qtcatalan.polynomial import SparsePoly, VarTable

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -28,6 +29,24 @@ def test_single_lambda_geometric():
     e = geometric(("x", "l"), [(1, 1)], {"l": "nonneg"})
     p = expand_truncated(e, WeightVector(4))
     assert p == SparsePoly(VarTable(("x",)), {(i,): 1 for i in range(5)})
+
+
+def test_expand_truncated_leaves_no_garbage_cycle():
+    # the result must be freed by reference counting alone, not held in a
+    # cycle until the cyclic GC runs
+    oracle = gf_series3(3, region="P1C1", refined=True)
+    wv = slice_weight_vector(oracle, X3, F_BASE_WEIGHTS, 3)
+    forms = (build_crude_F("P1C1"), closed_form("F11"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for form in forms:
+            assert expand_truncated(form, wv).terms
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_nonneg_pair_matches_direct_expansion():
