@@ -1,22 +1,23 @@
 """q,t-polynomials assembled from path statistics.
 
-Every polynomial here is a sum of q^area t^bounce over an enumerated set
-of paths, optionally refined by extra variables recording the path
-parameters (y2, y3 for red ranks; y2, y3, y4 for k^4 run parameters) and
-optionally restricted to one region of the piecewise bounce formula.
-Region labels: P1C1..P2C2 for length-3 vectors, P1C1..P3C3 for k^4.
+Every polynomial here is a sum of q^area t^bounce over plain-tuple paths,
+one sweep per family, optionally refined by extra variables recording the
+path parameters (y2, y3 for red ranks; y2, y3, y4 for k^4 run parameters)
+and optionally restricted to one region of the piecewise bounce formula,
+named by the labels F_REGIONS and H_REGIONS of :mod:`qtcatalan.dyck`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, starmap
+from operator import itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
-from .dyck import (KVec3, Path3, Path4, _bounce3, _bounce4, area3, area4,
-                   bounce4_case, enumerate_paths3, enumerate_paths4)
+from .dyck import (F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3, _bounce4,
+                   _ranks3, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -27,9 +28,6 @@ GF3_REFINED_VARS = ("q", "t", "x1", "x2", "x3", "y2", "y3")
 GF4_VARS = ("q", "t", "x")
 GF4_REFINED_VARS = ("q", "t", "x", "y2", "y3", "y4")
 
-F_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2")
-H_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2", "P2C3", "P3C1", "P3C2", "P3C3")
-
 
 def region_of_path3(p: Path3) -> str:
     """Bounce region of a length-3 path (partition of the (r2, r3) grid)."""
@@ -38,38 +36,79 @@ def region_of_path3(p: Path3) -> str:
 
 def region_of_path4(p: Path4) -> str:
     """Bounce region of a k^4 path (one of the eight cases)."""
-    return H_REGIONS[bounce4_case(p) - 1]
+    return H_REGIONS[_bounce4(p.k, p.a, p.b, p.c)[0]]
 
 
-def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> SparsePoly:
-    """Polynomial with coefficient = number of occurrences of each key."""
-    terms = Counter(keys)
+def _tally(names: Sequence[str], columns: Sequence[str],
+           rows: Iterable[tuple[int, ...]]) -> SparsePoly:
+    """Polynomial over ``names`` counting the rows, whose columns are ``columns``."""
+    terms = Counter(map(itemgetter(*map(columns.index, names)), rows))
     # every exponent is a path statistic or parameter, never negative
     if terms and min(min(exps) for exps in terms) < 0:
         raise AssertionError("negative exponent in a path polynomial")
     return SparsePoly(VarTable(names), terms)
 
 
-def _scored3(k: KVec3, region: str | None) -> Iterator[tuple[int, int, Path3]]:
-    """(area, bounce, path) for each path for k in ``region`` (None: all)."""
-    for p in enumerate_paths3(k):
-        i, bounce = _bounce3(k.k1, k.k2, p.r2, p.r3)
-        if region is None or F_REGIONS[i] == region:
-            yield area3(p), bounce, p
+# One sweep per family, on plain tuples: a path is (k1, k2, k3, r2, r3) or
+# (k, a, b, c), in the ranges of enumerate_paths3/4.  Its (region, bounce)
+# comes from _bounce3/4, or from the gf record below in the same order, and
+# its row is (area, bounce, *path), over GF3/GF4_REFINED_VARS; every
+# polynomial here tallies the columns of its own variables.
 
 
-def _scored4(k: int, region: str | None) -> Iterator[tuple[int, int, Path4]]:
-    """(area, bounce, path) for each path for k^4, as :func:`_scored3`."""
-    for p in enumerate_paths4(k):
-        case, bounce = _bounce4(k, p.a, p.b, p.c)
-        if region is None or H_REGIONS[case - 1] == region:
-            yield area4(p), bounce, p
+def _paths3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, ...]]:
+    return ((k1, k2, k3, r2, r3) for k1, k2, k3 in vectors for r2, r3 in _ranks3(k1, k2))
+
+
+def _paths4(ks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    for k in ks:
+        for a in range(k + 1):
+            for b in range(2 * k - a + 1):
+                for c in range(3 * k - a - b + 1):
+                    yield k, a, b, c
+
+
+def _classify3(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    return (_bounce3(k1, k2, r2, r3) for k1, k2, _, r2, r3 in paths)
+
+
+def _rows3(paths, classified, want: int | None) -> Iterator[tuple[int, ...]]:
+    # the area is r2 + r3, as in area3
+    for (k1, k2, k3, r2, r3), (i, bounce) in zip(paths, classified):
+        if want is None or i == want:
+            yield r2 + r3, bounce, k1, k2, k3, r2, r3
+
+
+def _rows4(paths, classified, want: int | None) -> Iterator[tuple[int, ...]]:
+    # the area is 6k - 3a - 2b - c, as in area4
+    for (k, a, b, c), (i, bounce) in zip(paths, classified):
+        if want is None or i == want:
+            yield 6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c
+
+
+def _check_args(region: str | None, allowed: tuple[str, ...], size: int = 0,
+                refined: bool = False) -> int | None:
+    """Validate the arguments; return the index of ``region`` in ``allowed``."""
+    if region is not None and region not in allowed:
+        raise ValueError(f"unknown region {region!r}; expected one of {allowed}")
+    if type(size) is not int or size < 0:
+        raise ValueError(f"expected a nonnegative integer, got {size!r}")
+    if type(refined) is not bool:
+        raise ValueError(f"refined must be True or False, got {refined!r}")
+    return None if region is None else allowed.index(region)
+
+
+def _sweep3(k: KVec3, region: str | None) -> Iterator[tuple[int, ...]]:
+    """The rows of the paths for k in ``region`` (None: all)."""
+    if not isinstance(k, KVec3):
+        raise ValueError(f"expected a KVec3 vector, got {k!r}")
+    vector = [(k.k1, k.k2, k.k3)]
+    return _rows3(_paths3(vector), _classify3(_paths3(vector)), _check_args(region, F_REGIONS))
 
 
 def catalan_poly3(k: KVec3) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k, over variables (q, t)."""
-    _check_k3(k)
-    return _tally(QT_VARS, ((area, bounce) for area, bounce, _ in _scored3(k, None)))
+    return _tally(QT_VARS, GF3_REFINED_VARS, _sweep3(k, None))
 
 
 def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
@@ -91,22 +130,13 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
 
 def catalan_poly_k4(k: int) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k^4."""
-    return _tally(QT_VARS, ((area, bounce) for area, bounce, _ in _scored4(k, None)))
-
-
-def _check_args(region: str | None, allowed: tuple[str, ...], order: int = 0,
-                refined: bool = False):
-    if region is not None and region not in allowed:
-        raise ValueError(f"unknown region {region!r}; expected one of {allowed}")
-    if type(order) is not int or order < 0:
-        raise ValueError(f"the series order must be a nonnegative integer, got {order!r}")
-    if type(refined) is not bool:
-        raise ValueError(f"refined must be True or False, got {refined!r}")
-
-
-def _check_k3(k: KVec3):
-    if not isinstance(k, KVec3):
-        raise ValueError(f"expected a KVec3 vector, got {k!r}")
+    # the one sum over enumerate_paths4 objects, whose count the k4_ring
+    # benchmark reads; they are read twice, lazily, since a list of their
+    # tuples would hold every path a second time
+    paths = enumerate_paths4(k)
+    return _tally(QT_VARS, GF4_REFINED_VARS,
+                  _rows4(((k, p.a, p.b, p.c) for p in paths),
+                         (_bounce4(k, p.a, p.b, p.c) for p in paths), None))
 
 
 def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
@@ -114,45 +144,27 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
 
     With ``region`` set, only paths in that bounce region contribute.
     """
-    _check_k3(k)
-    _check_args(region, F_REGIONS)
-    return _tally(REFINED3_VARS, ((area, bounce, p.r2, p.r3)
-                                  for area, bounce, p in _scored3(k, region)))
+    return _tally(REFINED3_VARS, GF3_REFINED_VARS, _sweep3(k, region))
 
 
 def refined_poly4(k: int, region: str | None = None) -> SparsePoly:
     """Refined sum q^area t^bounce y2^a y3^b y4^c over (q, t, y2, y3, y4)."""
-    _check_args(region, H_REGIONS)
-    return _tally(REFINED4_VARS, ((area, bounce, p.a, p.b, p.c)
-                                  for area, bounce, p in _scored4(k, region)))
+    return _tally(REFINED4_VARS, GF4_REFINED_VARS, _rows4(
+        _paths4([k]), starmap(_bounce4, _paths4([k])), _check_args(region, H_REGIONS, k)))
 
 
-def _gf_paths3(max_total: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """(k1, k2, k3, r2, r3) for each path of each vector with k1 + k2 + k3 <=
-    max_total, as plain tuples, in the ranges of :func:`enumerate_paths3`."""
-    for k1 in range(max_total + 1):
-        for k2 in range(max_total - k1 + 1):
-            for k3 in range(max_total - k1 - k2 + 1):
-                for r2 in range(k1 + 1):
-                    for r3 in range(r2 + k2 + 1):
-                        yield k1, k2, k3, r2, r3
+def _gf_paths3(max_total: int) -> Iterator[tuple[int, ...]]:
+    """Each path of each vector with k1 + k2 + k3 <= max_total."""
+    return _paths3((k1, k2, k3) for k1 in range(max_total + 1)
+                   for k2 in range(max_total - k1 + 1)
+                   for k3 in range(max_total - k1 - k2 + 1))
 
 
-def _gf_paths4(max_k: int) -> Iterator[tuple[int, int, int, int]]:
-    """(k, a, b, c) for each path for k^4 with k <= max_k, as plain tuples,
-    in the ranges of :func:`enumerate_paths4`."""
-    for k in range(max_k + 1):
-        for a in range(k + 1):
-            for b in range(2 * k - a + 1):
-                for c in range(3 * k - a - b + 1):
-                    yield k, a, b, c
-
-
-# Each path's region (F region index 0..3, k^4 case 1..8) and bounce, in
-# the order of _gf_paths3/4, for the last order asked: one classification
-# per path, however many regions are tallied, and five bytes kept per
-# path: a byte for the region and a C unsigned int for the bounce, read
-# back through a memoryview (the array module would add an extension
+# Each path's region (an index into F_REGIONS or H_REGIONS) and bounce, in
+# the order of _gf_paths3 and _paths4, for the last order asked: one
+# classification per path, however many regions are tallied, and five bytes
+# kept per path: a byte for the region and a C unsigned int for the bounce,
+# read back through a memoryview (the array module would add an extension
 # module to every import).
 _BOUNCE = Struct("I")
 
@@ -167,37 +179,26 @@ def _record(classified: Iterable[tuple[int, int]]) -> tuple[bytes, memoryview]:
 
 @lru_cache(maxsize=1)
 def _classified3(max_total: int) -> tuple[bytes, memoryview]:
-    return _record(_bounce3(k1, k2, r2, r3) for k1, k2, _, r2, r3 in _gf_paths3(max_total))
+    return _record(_classify3(_gf_paths3(max_total)))
 
 
 @lru_cache(maxsize=1)
 def _classified4(max_k: int) -> tuple[bytes, memoryview]:
-    return _record(_bounce4(*path) for path in _gf_paths4(max_k))
+    return _record(starmap(_bounce4, _paths4(range(max_k + 1))))
 
 
 def gf_series3(max_total: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k1+k2+k3 <= max_total of x1^k1 x2^k2 x3^k3
     times the (optionally refined, optionally region-filtered) path sum."""
-    _check_args(region, F_REGIONS, max_total, refined)
-    want = None if region is None else F_REGIONS.index(region)
-    regions, bounces = _classified3(max_total)
-    # the area is r2 + r3, as in area3
-    return _tally(GF3_REFINED_VARS if refined else GF3_VARS,
-                  ((r2 + r3, bounce, k1, k2, k3) + ((r2, r3) if refined else ())
-                   for (k1, k2, k3, r2, r3), i, bounce
-                   in zip(_gf_paths3(max_total), regions, bounces)
-                   if want is None or i == want))
+    want = _check_args(region, F_REGIONS, max_total, refined)
+    return _tally(GF3_REFINED_VARS if refined else GF3_VARS, GF3_REFINED_VARS,
+                  _rows3(_gf_paths3(max_total), zip(*_classified3(max_total)), want))
 
 
 def gf_series4(max_k: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k <= max_k of x^k times the path sum."""
-    _check_args(region, H_REGIONS, max_k, refined)
-    want = None if region is None else H_REGIONS.index(region) + 1
-    regions, bounces = _classified4(max_k)
-    # the area is 6k - 3a - 2b - c, as in area4
-    return _tally(GF4_REFINED_VARS if refined else GF4_VARS,
-                  ((6 * k - 3 * a - 2 * b - c, bounce, k) + ((a, b, c) if refined else ())
-                   for (k, a, b, c), case, bounce in zip(_gf_paths4(max_k), regions, bounces)
-                   if want is None or case == want))
+    want = _check_args(region, H_REGIONS, max_k, refined)
+    return _tally(GF4_REFINED_VARS if refined else GF4_VARS, GF4_REFINED_VARS,
+                  _rows4(_paths4(range(max_k + 1)), zip(*_classified4(max_k)), want))

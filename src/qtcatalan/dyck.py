@@ -9,12 +9,17 @@ up-run and d after the second, with r2 = a - b and r3 = a - b + c - d for
 
 The statistics are area (sum of red ranks) and bounce (piecewise-linear
 formulas below, taken as the definition here).  Neither depends on the
-last vector component.
+last vector component.  One evaluation per path gives its bounce and the
+index of its region in ``F_REGIONS`` or ``H_REGIONS``, the labels owned here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+F_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2")
+H_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2", "P2C3", "P3C1", "P3C2", "P3C3")
 
 
 def ceil_div(a: int, z: int) -> int:
@@ -50,6 +55,8 @@ class Path3:
     r3: int
 
     def __post_init__(self):
+        if type(self.r2) is not int or type(self.r3) is not int:
+            raise ValueError(f"red ranks must be integers: {self}")
         if not (0 <= self.r2 <= self.k.k1):
             raise ValueError(f"r2={self.r2} out of range [0, {self.k.k1}]")
         if not (0 <= self.r3 <= self.r2 + self.k.k2):
@@ -67,8 +74,8 @@ class ParamPath3:
     d: int
 
     def __post_init__(self):
-        if min(self.a, self.c, self.e, self.b, self.d) < 0:
-            raise ValueError(f"parameters must be nonnegative: {self}")
+        if any(type(x) is not int or x < 0 for x in (self.a, self.c, self.e, self.b, self.d)):
+            raise ValueError(f"parameters must be nonnegative integers: {self}")
         if self.a - self.b < 0:
             raise ValueError(f"b={self.b} exceeds a={self.a}")
         if self.a - self.b + self.c - self.d < 0:
@@ -106,11 +113,16 @@ def count_paths3(k: KVec3) -> int:
     return (k.k1 + 1) * (k.k2 + 1) + k.k1 * (k.k1 + 1) // 2
 
 
+def _ranks3(k1: int, k2: int) -> Iterator[tuple[int, int]]:
+    """Red ranks (r2, r3) of each path for (k1, k2, k3), lexicographically."""
+    for r2 in range(k1 + 1):
+        for r3 in range(r2 + k2 + 1):
+            yield r2, r3
+
+
 def enumerate_paths3(k: KVec3) -> list[Path3]:
     """All paths for k, ordered lexicographically by (r2, r3)."""
-    return [Path3(k, r2, r3)
-            for r2 in range(k.k1 + 1)
-            for r3 in range(r2 + k.k2 + 1)]
+    return [Path3(k, r2, r3) for r2, r3 in _ranks3(k.k1, k.k2)]
 
 
 def area3(p: Path3) -> int:
@@ -118,8 +130,8 @@ def area3(p: Path3) -> int:
 
 
 def _bounce3(k1: int, k2: int, r2: int, r3: int) -> tuple[int, int]:
-    """(region, bounce) of the path (r2, r3): the region indexes P1C1, P1C2,
-    P2C1, P2C2 by the branches taken: P1 when m = k2 < r2, C1 when u >= 2m."""
+    """(region, bounce) of the path (r2, r3), the region an index into
+    F_REGIONS by the branches taken: P1 when m = k2 < r2, C1 when u >= 2m."""
     part, m = (0, k2) if r2 > k2 else (2, r2)
     u = r2 + k2 - r3
     if u >= 2 * m:
@@ -178,41 +190,36 @@ def area4(p: Path4) -> int:
 
 
 def _bounce4(k: int, a: int, b: int, c: int) -> tuple[int, int]:
-    """(case 1..8, bounce) of the k^4 path (a, b, c), each formula beside its
-    predicate.  All eight predicates are evaluated; exactly one must hold."""
-    s = b // 2
+    """(region, bounce) of the k^4 path (a, b, c), the region an index into
+    H_REGIONS.  Only the predicates of the path's part are evaluated, and
+    exactly one must hold: cases 1 and 2 of part 1 (b >= 2k - 2a), else cases
+    3 + 3r, 4 + 3r and 5 + 3r of parts 2 and 3, written once in b = 2s + r."""
     hits = []
     if b >= 2 * k - 2 * a:
         if c >= 4 * k - 2 * a - 2 * b:
-            hits.append((1, 6 * a + 3 * b + c - 4 * k))
+            hits.append((0, 6 * a + 3 * b + c - 4 * k))
         if c < 4 * k - 2 * a - 2 * b:
-            hits.append((2, 5 * a + 2 * b + ceil_div(c, 2) - 2 * k))
-    elif b % 2 == 0:
-        # bounds use 3b/2 = 3s for even b = 2s
-        if c >= 3 * k - a - 3 * s:
-            hits.append((3, 4 * a + 2 * b + c - 2 * k))
-        if 3 * k - 3 * a - 3 * s <= c < 3 * k - a - 3 * s:
-            hits.append((4, 2 * a + s + k + ceil_div(3 * a + 3 * s + c - 3 * k, 2)))
-        if c < 3 * k - 3 * a - 3 * s:
-            hits.append((5, 3 * a + b + ceil_div(c, 3)))
+            hits.append((1, 5 * a + 2 * b + ceil_div(c, 2) - 2 * k))
     else:
-        # bounds use 3(b+1)/2 = 3(s+1) for odd b = 2s+1
-        t = 3 * (s + 1)
-        if c >= 3 * k - a - t + 1:
-            hits.append((6, 4 * a + 2 * b + c - 2 * k + 1))
-        if 3 * k - 3 * a - t + 1 <= c < 3 * k - a - t + 1:
-            hits.append((7, 2 * a + s + 1 + k + ceil_div(3 * a + 3 * s + c - 3 * k + 2, 2)))
-        if c < 3 * k - 3 * a - t + 1:
-            hits.append((8, 3 * a + b + 1 + ceil_div(c - 1, 3)))
+        # r = 0 in part 2 and 1 in part 3; the cuts c >= cut - a and
+        # c >= cut - 3a are omega's _CUTS4
+        s, r = divmod(b, 2)
+        cut, first = 3 * k - 3 * s - 2 * r, 2 + 3 * r
+        if c >= cut - a:
+            hits.append((first, 4 * a + 2 * b + c - 2 * k + r))
+        if cut - 3 * a <= c < cut - a:
+            hits.append((first + 1, 2 * a + s + r + k + ceil_div(3 * a + c - cut, 2)))
+        if c < cut - 3 * a:
+            hits.append((first + 2, 3 * a + b + r + ceil_div(c - r, 3)))
     if len(hits) != 1:
-        raise AssertionError(f"bounce cases {[case for case, _ in hits]} fired for "
+        raise AssertionError(f"bounce cases {[i + 1 for i, _ in hits]} fired for "
                              f"Path4(k={k}, a={a}, b={b}, c={c}); expected exactly one")
     return hits[0]
 
 
 def bounce4_case(p: Path4) -> int:
-    """Index (1..8) of the unique bounce case containing the path."""
-    return _bounce4(p.k, p.a, p.b, p.c)[0]
+    """Number (1..8) of the unique bounce case containing the path."""
+    return _bounce4(p.k, p.a, p.b, p.c)[0] + 1
 
 
 def bounce4(p: Path4) -> int:

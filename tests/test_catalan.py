@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -180,6 +181,19 @@ def test_gf_series4_structure():
     assert gf_series4(2, refined=True).eval_ones(["y2", "y3", "y4"]) == s
 
 
+def reference_sum3(k, region, refined):
+    """(area, bounce) exponents, with (r2, r3) when refined, of the validated
+    Path3 objects for k in ``region``, from the public statistics."""
+    return Counter((area3(p), bounce3(p)) + ((p.r2, p.r3) if refined else ())
+                   for p in enumerate_paths3(k) if region in (None, region_of_path3(p)))
+
+
+def reference_sum4(k, region, refined):
+    """As :func:`reference_sum3`, from Path4 objects, with (a, b, c)."""
+    return Counter((area4(p), bounce4(p)) + ((p.a, p.b, p.c) if refined else ())
+                   for p in enumerate_paths4(k) if region in (None, region_of_path4(p)))
+
+
 def reference_gf3(n, region, refined):
     """gf_series3 from validated Path3 objects and the public statistics."""
     names = ("q", "t", "x1", "x2", "x3") + (("y2", "y3") if refined else ())
@@ -187,10 +201,9 @@ def reference_gf3(n, region, refined):
     for k1 in range(n + 1):
         for k2 in range(n - k1 + 1):
             for k3 in range(n - k1 - k2 + 1):
-                for p in enumerate_paths3(KVec3(k1, k2, k3)):
-                    if region in (None, region_of_path3(p)):
-                        terms[(area3(p), bounce3(p), k1, k2, k3)
-                              + ((p.r2, p.r3) if refined else ())] += 1
+                for (area, bounce, *ys), count in reference_sum3(
+                        KVec3(k1, k2, k3), region, refined).items():
+                    terms[(area, bounce, k1, k2, k3, *ys)] += count
     return SparsePoly(VarTable(names), terms)
 
 
@@ -199,10 +212,8 @@ def reference_gf4(n, region, refined):
     names = ("q", "t", "x") + (("y2", "y3", "y4") if refined else ())
     terms = Counter()
     for k in range(n + 1):
-        for p in enumerate_paths4(k):
-            if region in (None, region_of_path4(p)):
-                terms[(area4(p), bounce4(p), k)
-                      + ((p.a, p.b, p.c) if refined else ())] += 1
+        for (area, bounce, *ys), count in reference_sum4(k, region, refined).items():
+            terms[(area, bounce, k, *ys)] += count
     return SparsePoly(VarTable(names), terms)
 
 
@@ -222,3 +233,21 @@ def test_gf_series_matches_path_object_reference(series, reference, regions):
             for region in regions:
                 parts = parts + series(n, region=region, refined=refined)
             assert parts == total, (n, refined)
+
+
+def test_path_sums_match_path_object_reference():
+    refined3 = VarTable(("q", "t", "y2", "y3"))
+    refined4 = VarTable(("q", "t", "y2", "y3", "y4"))
+    for vec in product(range(5), repeat=3):
+        k = KVec3(*vec)
+        got, want = catalan_poly3(k), SparsePoly(QT, reference_sum3(k, None, False))
+        assert got.vars == want.vars and got == want, k
+        for region in (None,) + F_REGIONS:
+            got, want = refined_poly3(k, region), SparsePoly(refined3, reference_sum3(k, region, True))
+            assert got.vars == want.vars and got == want, (k, region)
+    for k in range(6):
+        got, want = catalan_poly_k4(k), SparsePoly(QT, reference_sum4(k, None, False))
+        assert got.vars == want.vars and got == want, k
+        for region in (None,) + H_REGIONS:
+            got, want = refined_poly4(k, region), SparsePoly(refined4, reference_sum4(k, region, True))
+            assert got.vars == want.vars and got == want, (k, region)

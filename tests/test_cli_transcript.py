@@ -24,6 +24,8 @@ COMMANDS = (
     ("poly4", "--k", "2", "--format", "json"),
     ("table", "--what", "stats3", "--k", "1,2,1"),
     ("table", "--what", "stats4", "--k", "1", "--format", "json"),
+    # --k 1 has no path in P2C2 or P3C2; --k 2 shows all eight labels
+    ("table", "--what", "stats4", "--k", "2"),
     ("verify", "--suite", "symmetry3", "--max", "3"),
     ("verify", "--suite", "symmetry4", "--max", "3"),
     ("verify", "--suite", "involution", "--max", "4"),

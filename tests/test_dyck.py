@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce4, area3,
@@ -41,6 +43,21 @@ def test_path3_validation():
         Path3(k, 2, 0)
     with pytest.raises(ValueError):
         Path3(k, 1, 3)
+
+
+@pytest.mark.parametrize("r2, r3", [(0.5, 1), (1, 1.0), (True, 1), (1, False), ("1", 1)])
+def test_path3_rejects_non_integer_ranks(r2, r3):
+    # a half-integer rank once gave a path of area 1.5 and bounce 4.0
+    with pytest.raises(ValueError, match="integers"):
+        Path3(KVec3(2, 1, 1), r2, r3)
+
+
+@pytest.mark.parametrize("params", [
+    (1.5, 2, 0, 0, 0), (2, 1, 0, 1.0, 0), (1, 1, True, 0, 0), (1, 1, 1, 0, False),
+])
+def test_param_path3_rejects_non_integers(params):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        ParamPath3(*params)
 
 
 def test_enumerate_paths3_counts_and_order():
@@ -177,3 +194,63 @@ def test_bounce4_overlapping_cases_name_the_path():
     with pytest.raises(AssertionError,
                        match=r"\[3, 5\] fired for Path4\(k=0, a=-1, b=0, c=1\)"):
         _bounce4(0, -1, 0, 1)
+
+
+def reference_bounce4(k, a, b, c):
+    """The eight-branch k^4 bounce, with the odd-b cases 6-8 written out as a
+    second copy of the even-b cases 3-5: (case 1..8, bounce)."""
+    s = b // 2
+    hits = []
+    if b >= 2 * k - 2 * a:
+        if c >= 4 * k - 2 * a - 2 * b:
+            hits.append((1, 6 * a + 3 * b + c - 4 * k))
+        if c < 4 * k - 2 * a - 2 * b:
+            hits.append((2, 5 * a + 2 * b + ceil_div(c, 2) - 2 * k))
+    elif b % 2 == 0:
+        # bounds use 3b/2 = 3s for even b = 2s
+        if c >= 3 * k - a - 3 * s:
+            hits.append((3, 4 * a + 2 * b + c - 2 * k))
+        if 3 * k - 3 * a - 3 * s <= c < 3 * k - a - 3 * s:
+            hits.append((4, 2 * a + s + k + ceil_div(3 * a + 3 * s + c - 3 * k, 2)))
+        if c < 3 * k - 3 * a - 3 * s:
+            hits.append((5, 3 * a + b + ceil_div(c, 3)))
+    else:
+        # bounds use 3(b+1)/2 = 3(s+1) for odd b = 2s+1
+        t = 3 * (s + 1)
+        if c >= 3 * k - a - t + 1:
+            hits.append((6, 4 * a + 2 * b + c - 2 * k + 1))
+        if 3 * k - 3 * a - t + 1 <= c < 3 * k - a - t + 1:
+            hits.append((7, 2 * a + s + 1 + k + ceil_div(3 * a + 3 * s + c - 3 * k + 2, 2)))
+        if c < 3 * k - 3 * a - t + 1:
+            hits.append((8, 3 * a + b + 1 + ceil_div(c - 1, 3)))
+    if len(hits) != 1:
+        raise AssertionError(f"bounce cases {[case for case, _ in hits]} fired for "
+                             f"Path4(k={k}, a={a}, b={b}, c={c}); expected exactly one")
+    return hits[0]
+
+
+def test_bounce4_matches_the_eight_branch_reference_on_paths():
+    for k in range(13):
+        for p in enumerate_paths4(k):
+            want = reference_bounce4(k, p.a, p.b, p.c)
+            assert (bounce4_case(p), bounce4(p)) == want, p
+            region, bounce = _bounce4(k, p.a, p.b, p.c)
+            assert (region + 1, bounce) == want, p
+
+
+def test_bounce4_matches_the_eight_branch_reference_off_paths():
+    # outside the path ranges the cases can overlap or all fail; the error
+    # must then name the same cases and point as the reference's
+    failures = 0
+    for point in product(range(-2, 5), repeat=4):
+        try:
+            want = reference_bounce4(*point)
+        except AssertionError as exc:
+            failures += 1
+            with pytest.raises(AssertionError) as got:
+                _bounce4(*point)
+            assert str(got.value) == str(exc), point
+        else:
+            region, bounce = _bounce4(*point)
+            assert (region + 1, bounce) == want, point
+    assert failures > 0
