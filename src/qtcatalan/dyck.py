@@ -55,6 +55,8 @@ class Path3:
     r3: int
 
     def __post_init__(self):
+        if not isinstance(self.k, KVec3):
+            raise ValueError(f"expected a KVec3 vector, got {self.k!r}")
         if type(self.r2) is not int or type(self.r3) is not int:
             raise ValueError(f"red ranks must be integers: {self}")
         if not (0 <= self.r2 <= self.k.k1):

@@ -191,26 +191,44 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
     twice must return to (b, d), area and bounce must be exchanged, and the
     case labels must follow CASE_EXCHANGE.  Failures are recorded, not
     raised; a negative or non-integer a or c raises ValueError.
+
+    Each point is evaluated once: a first pass records its label, image and
+    bounce in flat lists, row b starting at index ``start[b]``, and the
+    checks read a valid image's record at ``start[b2] + d2``.  The lists
+    hold the whole pair, so memory grows with its (a + 1)(a/2 + c + 1)
+    points: about 31 MiB at (400, 400).  Evaluating each image again
+    instead would hold next to nothing, at twice the evaluations.
     """
     if type(a) is not int or type(c) is not int or a < 0 or c < 0:
         raise ValueError(f"verify_involution requires integers a, c >= 0, got a={a!r}, c={c!r}")
-    report = InvolutionReport(a, c)
+    labels, images, bounces, start = [], [], [], []
+    for b in range(a + 1):
+        start.append(len(labels))
+        for d in range(a - b + c + 1):
+            label, image = _case(a, c, b, d)
+            labels.append(label)
+            images.append(image)
+            bounces.append(bounce_from_runs(a, c, b, d))
+    report = InvolutionReport(a, c, len(labels))
     fail = report.failures.append
+    i = -1
     for b in range(a + 1):
         for d in range(a - b + c + 1):
-            report.checked += 1
-            label, (b2, d2) = _case(a, c, b, d)
+            i += 1
+            b2, d2 = images[i]
+            # tested before indexing: a negative index wraps round and a d2
+            # past the end of its row reads the next row
             if b2 < 0 or d2 < 0 or a - b2 < 0 or a - b2 + c - d2 < 0:
                 fail(Failure(b, d, "invalid_image"))
                 continue
-            label2, back = _case(a, c, b2, d2)
-            if back != (b, d):
+            j = start[b2] + d2
+            if images[j] != (b, d):
                 fail(Failure(b, d, "not_involution"))
                 continue
-            if (area_from_runs(a, c, b2, d2) != bounce_from_runs(a, c, b, d)
-                    or bounce_from_runs(a, c, b2, d2) != area_from_runs(a, c, b, d)):
+            if (area_from_runs(a, c, b2, d2) != bounces[i]
+                    or bounces[j] != area_from_runs(a, c, b, d)):
                 fail(Failure(b, d, "stat_mismatch"))
                 continue
-            if label2 != CASE_EXCHANGE[label]:
+            if labels[j] != CASE_EXCHANGE[labels[i]]:
                 fail(Failure(b, d, "wrong_case_exchange"))
     return report

@@ -52,6 +52,13 @@ def test_path3_rejects_non_integer_ranks(r2, r3):
         Path3(KVec3(2, 1, 1), r2, r3)
 
 
+@pytest.mark.parametrize("k", [(1, 1, 1), [1, 1, 1], None])
+def test_path3_rejects_a_vector_that_is_not_a_kvec3(k):
+    # a plain tuple once failed with AttributeError on k.k1
+    with pytest.raises(ValueError, match="KVec3"):
+        Path3(k, 0, 0)
+
+
 @pytest.mark.parametrize("params", [
     (1.5, 2, 0, 0, 0), (2, 1, 0, 1.0, 0), (1, 1, True, 0, 0), (1, 1, 1, 0, False),
 ])

@@ -1,10 +1,11 @@
 import pytest
 
-from qtcatalan.dyck import ParamPath3, area_from_runs, bounce_from_runs
-from qtcatalan.involution import (CASE_EXCHANGE, apply_involution, classify,
-                                  classify_phi, classify_psi, involution_map,
-                                  lemma4_check, parity_x, parity_y, phi, psi,
-                                  verify_involution)
+from qtcatalan import dyck, involution
+from qtcatalan.dyck import ParamPath3, area_from_runs, bounce_from_runs, ceil_div
+from qtcatalan.involution import (CASE_EXCHANGE, Failure, InvolutionReport,
+                                  apply_involution, classify, classify_phi,
+                                  classify_psi, involution_map, lemma4_check,
+                                  parity_x, parity_y, phi, psi, verify_involution)
 
 
 def test_parity_indicators():
@@ -159,3 +160,95 @@ def test_verify_involution_reports_wrong_case_exchange(monkeypatch):
         (1, 3, "wrong_case_exchange"), (1, 4, "wrong_case_exchange"),
         (2, 0, "wrong_case_exchange"), (2, 1, "wrong_case_exchange"),
         (2, 2, "wrong_case_exchange"), (2, 3, "wrong_case_exchange")]
+
+
+def _l22_g32_subtracted(a, c, b, d):
+    """The variant named in ``_l22_g32``'s docstring: subtract, not add."""
+    y = parity_y(c, d)
+    num = c + ceil_div(d, 2) - y
+    return (a - b - d - num // 2, 2 * (d // 2) + y)
+
+
+def _l11_sent_to(image):
+    """``_case`` with every L11 point sent to ``image(a, c, b, d)``."""
+    real_case = involution._case
+
+    def case(a, c, b, d):
+        label, img = real_case(a, c, b, d)
+        return label, (image(a, c, b, d) if label == "L11" else img)
+    return case
+
+
+# name -> how to break the map, given pytest's monkeypatch
+MUTANTS = {
+    "real": lambda mp: None,
+    "g32_subtracted": lambda mp: mp.setattr(involution, "_l22_g32", _l22_g32_subtracted),
+    "l11_fixed": lambda mp: mp.setattr(
+        involution, "_case", _l11_sent_to(lambda a, c, b, d: (b, d))),
+    "l11_past_row_end": lambda mp: mp.setattr(
+        involution, "_case", _l11_sent_to(lambda a, c, b, d: (b, a - b + c + 1))),
+    "l12_to_itself": lambda mp: mp.setitem(CASE_EXCHANGE, "L12", "L12"),
+}
+
+
+@pytest.mark.parametrize("mutant, a, c, expected", [
+    ("g32_subtracted", 3, 2, [(1, 1, "not_involution"), (1, 2, "invalid_image"),
+                              (1, 3, "invalid_image"), (2, 0, "not_involution"),
+                              (2, 1, "invalid_image")]),
+    ("l11_fixed", 1, 3, [(0, 2, "stat_mismatch"), (0, 4, "stat_mismatch"),
+                         (1, 0, "stat_mismatch"), (1, 1, "stat_mismatch")]),
+    # (0, 5) is one past the end of row 0: read by position it would be (1, 0)
+    ("l11_past_row_end", 1, 3, [(0, 2, "invalid_image"), (0, 3, "invalid_image"),
+                                (0, 4, "invalid_image"), (1, 0, "invalid_image"),
+                                (1, 1, "invalid_image")]),
+])
+def test_verify_involution_reports_each_failure_reason(monkeypatch, mutant, a, c, expected):
+    MUTANTS[mutant](monkeypatch)
+    assert [(f.b, f.d, f.reason) for f in verify_involution(a, c).failures] == expected
+
+
+def _reference_verify(a, c):
+    """The per-point loop that evaluates every image again, as a reference."""
+    report = InvolutionReport(a, c)
+    fail = report.failures.append
+    for b in range(a + 1):
+        for d in range(a - b + c + 1):
+            report.checked += 1
+            label, (b2, d2) = involution._case(a, c, b, d)
+            if b2 < 0 or d2 < 0 or a - b2 < 0 or a - b2 + c - d2 < 0:
+                fail(Failure(b, d, "invalid_image"))
+                continue
+            label2, back = involution._case(a, c, b2, d2)
+            if back != (b, d):
+                fail(Failure(b, d, "not_involution"))
+                continue
+            if (area_from_runs(a, c, b2, d2) != bounce_from_runs(a, c, b, d)
+                    or bounce_from_runs(a, c, b2, d2) != area_from_runs(a, c, b, d)):
+                fail(Failure(b, d, "stat_mismatch"))
+                continue
+            if label2 != CASE_EXCHANGE[label]:
+                fail(Failure(b, d, "wrong_case_exchange"))
+    return report
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_verify_involution_matches_the_reference_loop(monkeypatch, mutant):
+    MUTANTS[mutant](monkeypatch)
+    for a in range(13):
+        for c in range(13):
+            assert (verify_involution(a, c).to_json_dict()
+                    == _reference_verify(a, c).to_json_dict()), (a, c)
+
+
+def test_verify_involution_evaluates_each_point_once(monkeypatch):
+    calls = {"_case": 0, "_bounce3": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(involution, "_case", counting("_case", involution._case))
+    monkeypatch.setattr(dyck, "_bounce3", counting("_bounce3", dyck._bounce3))
+    report = verify_involution(6, 4)
+    assert report.ok and calls == {"_case": report.checked, "_bounce3": report.checked}
