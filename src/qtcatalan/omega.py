@@ -10,15 +10,20 @@ monomial, over a variable table split into *retained* variables and
 the terms whose exponent in that variable is >= 0, ``zero`` keeps the
 terms with exponent exactly 0; either way the variable is then set to 1.
 
-:func:`expand_truncated` expands every factor geometrically and applies
-the elimination term by term.  Enumeration is bounded by a weighted total
-degree on the retained variables: every factor must have strictly positive
-weight, which makes the multiplicity search finite, and the result is then
-exact for all terms of weighted degree <= the bound.  Each eliminated
-variable is settled at the last factor that touches it, where its mode
-forces that factor's multiplicity (``zero``) or bounds it (``nonneg``), as
-in the last-factor step of MacMahon's partition analysis (Andrews, Paule
-and Riese; Xin); so the search visits a few nodes per emitted term.
+:func:`expand_truncated` expands every factor geometrically, bounded by a
+weighted total degree on the retained variables: every factor must have
+strictly positive weight, which makes the expansion finite, and the result
+is then exact for all terms of weighted degree <= the bound.  It has two
+branches.  An expression with nothing to eliminate (the closed forms) is
+expanded by geometric division: the numerator's terms are bucketed by
+weighted degree and each factor is divided out in one upward sweep over
+the buckets, at a cost of about terms x factors.  An expression with
+eliminated variables (the crude forms) goes to a multiplicity search that
+applies the elimination term by term.  Each eliminated variable is settled
+at the last factor that touches it, where its mode forces that factor's
+multiplicity (``zero``) or bounds it (``nonneg``), as in the last-factor
+step of MacMahon's partition analysis (Andrews, Paule and Riese; Xin); so
+the search visits a few nodes per emitted term.
 
 The crude generating functions for the two path families are *generated*
 from their linear constraint systems by :func:`build_crude_F` and
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from importlib import resources
 from itertools import product
+from operator import add
 from typing import Mapping, Sequence
 
 from .catalan import (F_REGIONS, GF3_REFINED_VARS, GF4_REFINED_VARS,
@@ -86,9 +92,21 @@ class WeightVector:
         return [wmap.get(n, 1) for n in names]
 
 
+def _check_monomial(role: str, mono: tuple, n: int) -> None:
+    if len(mono) != n:
+        raise ValueError(f"{role} monomial length mismatch")
+    bad = [e for e in mono if type(e) is not int]
+    if bad:
+        raise ValueError(f"{role} monomial {mono!r} has non-integer exponent {bad[0]!r}")
+
+
 @dataclass
 class FactoredOmegaExpr:
-    """Signed monomial numerator over a product of (1 - monomial) factors."""
+    """Signed monomial numerator over a product of (1 - monomial) factors.
+
+    Coefficients and exponents must be ints (exact integer arithmetic);
+    every monomial is stored as a tuple.
+    """
 
     vars: VarTable
     numerator: list[tuple[int, tuple[int, ...]]]
@@ -101,12 +119,14 @@ class FactoredOmegaExpr:
             self.vars.index(name)
             if mode not in (MODE_NONNEG, MODE_ZERO):
                 raise ValueError(f"unknown elimination mode {mode!r} for {name!r}")
-        for _, mono in self.numerator:
-            if len(mono) != n:
-                raise ValueError("numerator monomial length mismatch")
+        self.numerator = [(coeff, tuple(mono)) for coeff, mono in self.numerator]
+        self.factors = [tuple(mono) for mono in self.factors]
+        for coeff, mono in self.numerator:
+            if type(coeff) is not int:
+                raise ValueError(f"numerator coefficient {coeff!r} is not an integer")
+            _check_monomial("numerator", mono, n)
         for mono in self.factors:
-            if len(mono) != n:
-                raise ValueError("factor monomial length mismatch")
+            _check_monomial("factor", mono, n)
 
     @property
     def retained_names(self) -> tuple[str, ...]:
@@ -119,7 +139,10 @@ class FactoredOmegaExpr:
 def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     """Expand with elimination, exact up to retained weighted degree wv.bound.
 
-    A depth-first search picks each factor's multiplicity in turn.  At the
+    With nothing to eliminate (``expr.elim`` empty, as for the closed
+    forms) the series is built by geometric division, one sweep over
+    degree buckets per factor (:func:`_expand_geometric`).  Otherwise a
+    depth-first search picks each factor's multiplicity in turn.  At the
     last factor touching an eliminated variable the multiplicity is forced
     (``zero``) or bounded (``nonneg``), so every branch it keeps satisfies
     that variable's mode; a variable no factor touches is checked on the
@@ -135,10 +158,7 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     wmap = dict(zip(retained, ret_weights))
     w_full = [wmap.get(n, 0) for n in names]
 
-    ret_idx = [i for i, n in enumerate(names) if n not in expr.elim]
-    elim_info = [(i, expr.elim[n]) for i, n in enumerate(names) if n in expr.elim]
-
-    factors = [tuple(f) for f in expr.factors]
+    factors = expr.factors
     fwt = []
     for f in factors:
         w = sum(w_full[i] * f[i] for i in range(n_all))
@@ -147,6 +167,12 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
             raise ValueError(f"factor {desc} has nonpositive weight {w}; "
                              f"expansion would not terminate")
         fwt.append(w)
+    if not expr.elim:
+        return SparsePoly._owning(expr.retained_vars(), _expand_geometric(
+            expr.numerator, factors, fwt, w_full, wv.bound))
+
+    ret_idx = [i for i, n in enumerate(names) if n not in expr.elim]
+    elim_info = [(i, expr.elim[n]) for i, n in enumerate(names) if n in expr.elim]
     fexps = [tuple((i, c) for i, c in enumerate(f) if c) for f in factors]
     nf = len(factors)
 
@@ -218,6 +244,37 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     del rec
 
     return SparsePoly._owning(expr.retained_vars(), acc)
+
+
+def _expand_geometric(numerator: list[tuple[int, tuple[int, ...]]],
+                      factors: list[tuple[int, ...]], fwt: list[int],
+                      w_full: list[int], bound: int) -> dict[tuple[int, ...], int]:
+    """Terms of weighted degree <= ``bound`` of numerator / prod (1 - m).
+
+    The terms are kept in buckets by weighted degree.  Dividing by 1 - m,
+    for a factor m of weight w, adds every bucket d times m into bucket
+    d + w; sweeping d upward carries each addition on, so every term picks
+    up all powers of m that fit under the bound.
+    """
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for coeff, mono in numerator:
+        d = sum(w * e for w, e in zip(w_full, mono))
+        if d <= bound:
+            bucket = buckets.setdefault(d, {})
+            bucket[mono] = bucket.get(mono, 0) + coeff
+    # later buckets only ever lie above the lowest numerator degree
+    lowest = min(buckets, default=bound)
+    for f, w in zip(factors, fwt):
+        for d in range(lowest, bound - w + 1):
+            src = buckets.get(d)
+            if src:
+                dst = buckets.setdefault(d + w, {})
+                for mono, c in src.items():
+                    if c:
+                        key = tuple(map(add, mono, f))
+                        dst[key] = dst.get(key, 0) + c
+    # a monomial has one weighted degree, so the buckets share no key
+    return {mono: c for bucket in buckets.values() for mono, c in bucket.items()}
 
 
 def truncate_weighted(p: SparsePoly, wv: WeightVector) -> SparsePoly:

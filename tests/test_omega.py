@@ -110,6 +110,29 @@ def test_weight_vector_rejects_non_integers():
         slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 2.5)
 
 
+def test_expr_rejects_a_non_integer_coefficient():
+    # the series would carry float coefficients
+    with pytest.raises(ValueError, match="coefficient 1.5 is not an integer"):
+        FactoredOmegaExpr(VarTable(("x",)), [(1.5, (0,))], [(1,)])
+
+
+@pytest.mark.parametrize("numerator, factors, bad", [
+    ([(1, (0.5,))], [(1,)], 0.5),
+    ([(1, (0,))], [(1.0,)], 1.0),
+    ([(1, (True,))], [(1,)], True),
+], ids=("numerator", "factor", "bool"))
+def test_expr_rejects_a_non_integer_exponent(numerator, factors, bad):
+    with pytest.raises(ValueError, match=f"non-integer exponent {bad!r}"):
+        FactoredOmegaExpr(VarTable(("x",)), numerator, factors)
+
+
+def test_expr_stores_list_monomials_as_tuples():
+    e = FactoredOmegaExpr(VarTable(("x",)), [(1, [0])], [[1]])
+    assert e.numerator == [(1, (0,))] and type(e.numerator[0][1]) is tuple
+    assert e.factors == [(1,)] and type(e.factors[0]) is tuple
+    assert expand_truncated(e, WeightVector(2)).terms == {(0,): 1, (1,): 1, (2,): 1}
+
+
 def test_series_equal_reports_leading_witness():
     qt = VarTable(("q", "t"))
     one_q = SparsePoly(qt, {(0, 0): 1, (1, 0): 1})
@@ -147,6 +170,40 @@ def test_closed_form_registry():
         assert expr.factors
     with pytest.raises(ValueError, match="unknown closed form"):
         closed_form("F13")
+
+
+def forcing_search(expr):
+    """``expr`` with one more variable, eliminated ``nonneg``, that no factor
+    touches and every numerator term carries at exponent 0: the same series,
+    expanded by the multiplicity search instead of geometric division."""
+    return FactoredOmegaExpr(VarTable((*expr.vars.names, "idle")),
+                             [(c, (*mono, 0)) for c, mono in expr.numerator],
+                             [(*f, 0) for f in expr.factors], {"idle": "nonneg"})
+
+
+@pytest.mark.parametrize("section", omega.GF_SECTIONS)
+def test_closed_expansion_matches_the_search(monkeypatch, section):
+    # the closed form and weight vector check_gf_section expands, captured
+    calls = []
+
+    def capture(expr, wv):
+        if not expr.elim:
+            calls.append((expr, wv))
+        return expand_truncated(expr, wv)
+
+    monkeypatch.setattr(omega, "expand_truncated", capture)
+    for order in (0, 4, 8, 12):
+        calls.clear()
+        check_gf_section(section, order)
+        [(form, wv)] = calls
+        got = expand_truncated(form, wv).terms
+        assert got == expand_truncated(forcing_search(form), wv).terms, order
+        if order:
+            # negative control: one factor exponent (q, weight 1) moved
+            qi = form.vars.index("q")
+            moved = forcing_search(form)
+            moved.factors[-1] = tuple(e + (i == qi) for i, e in enumerate(moved.factors[-1]))
+            assert got != expand_truncated(moved, wv).terms, order
 
 
 def test_build_crude_unknown_region():
@@ -368,6 +425,56 @@ def test_random_expansions_match_unpruned_reference():
         expr = random_expr(rng)
         wv = WeightVector(rng.randint(2, 8))
         assert expand_truncated(expr, wv).terms == reference_expand(expr, wv), expr
+
+
+def random_free_expr(rng):
+    """An expression with nothing to eliminate over 1-3 variables, with its
+    weight vector: Laurent numerator exponents, factors whose negative
+    exponents the weights outweigh, and optionally an empty numerator, no
+    factors, or a term pair c*u - c*u*m that cancels against m's factor.
+    Returns the expression, the weight vector and the features drawn."""
+    names = [f"x{i}" for i in range(rng.randint(1, 3))]
+    weights = [rng.randint(1, 2)] + [rng.randint(0, 2) for _ in names[1:]]
+
+    def weight(mono):
+        return sum(w * e for w, e in zip(weights, mono))
+
+    factors, n_factors = [], rng.randint(0, 4)
+    while len(factors) < n_factors:
+        f = tuple(rng.randint(-2, 3) for _ in names)
+        if weight(f) > 0:
+            factors.append(f)
+    numerator = [(rng.choice((-3, -1, 1, 2)), tuple(rng.randint(-2, 3) for _ in names))
+                 for _ in range(rng.randint(0, 3))]
+    wv = WeightVector(rng.randint(0, 8), dict(zip(names, weights)))
+    features = set()
+    if factors and rng.random() < 0.3:
+        # u / (1 - m) - u m / (1 - m) = u: every higher term cancels
+        c, u = rng.choice((-2, 1, 3)), tuple(rng.randint(-1, 2) for _ in names)
+        m = rng.choice(factors)
+        numerator += [(c, u), (-c, tuple(a + b for a, b in zip(u, m)))]
+        features.add("cancelling terms")
+    if not numerator:
+        features.add("empty numerator")
+    if not factors:
+        features.add("no factors")
+    if any(e < 0 for _, mono in numerator for e in mono):
+        features.add("Laurent numerator")
+    if any(weight(mono) > wv.bound for _, mono in numerator):
+        features.add("term above the bound")
+    if any(e < 0 for f in factors for e in f):
+        features.add("negative factor exponent")
+    return FactoredOmegaExpr(VarTable(names), numerator, factors), wv, features
+
+
+def test_random_elimination_free_expansions_match_unpruned_reference():
+    rng = random.Random(20211029)
+    seen = Counter()
+    for _ in range(400):
+        expr, wv, features = random_free_expr(rng)
+        seen.update(features)
+        assert expand_truncated(expr, wv).terms == reference_expand(expr, wv), expr
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
 
 
 def test_zero_mode_last_coefficient_must_divide_exponent():

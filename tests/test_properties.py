@@ -59,9 +59,17 @@ exprs = st.builds(
     st.lists(st.tuples(st.integers(-2, 2), _mono), min_size=1, max_size=4),
     st.lists(_factor, max_size=3))
 
+# elimination-free ones over x, y, expanded by geometric division: the
+# numerator may be empty, Laurent or carry zero coefficients
+free_exprs = st.builds(
+    lambda num, factors: FactoredOmegaExpr(VarTable(("x", "y")), num, factors),
+    st.lists(st.tuples(st.integers(-2, 2),
+                       st.tuples(st.integers(-1, 2), st.integers(-1, 2))), max_size=4),
+    st.lists(_retained, max_size=3))
+
 
 @SETTINGS
-@given(exprs, st.integers(0, 5))
+@given(st.one_of(exprs, free_exprs), st.integers(0, 5))
 def test_expand_truncated_stores_no_zero_coefficient(expr, bound):
     assert_clean(expand_truncated(expr, WeightVector(bound)))
 
