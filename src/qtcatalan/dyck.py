@@ -95,6 +95,8 @@ class Path4:
 
     def __post_init__(self):
         k, a, b, c = self.k, self.a, self.b, self.c
+        if not (type(k) is type(a) is type(b) is type(c) is int):
+            raise ValueError(f"parameters must be integers: {self}")
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
         if not (0 <= a <= k):

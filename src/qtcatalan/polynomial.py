@@ -8,6 +8,15 @@ place, ``SparsePoly._owning``, which every operation builds its result
 through.  Exponents may be negative (Laurent monomials); callers that
 require ordinary polynomials assert nonnegativity themselves.
 
+Multiplication packs each exponent tuple into one integer (Kronecker
+substitution).  Digit i is the exponent of variable i minus its operand's
+minimum, in base hi - lo + 1, where [lo, hi] bounds that exponent in the
+product.  A digit of the sum of two keys stays below its base, so adding
+keys adds exponent vectors without carry: the term-pair loop does one
+integer addition per pair, and each product key is decoded once with
+``divmod``.  Python integers are unbounded, so this is exact for any
+exponent range, negative exponents included.
+
 Canonical term order is *descending* lexicographic on exponent tuples
 (leading term first).  Serialization, text and LaTeX output all follow it,
 which keeps golden files byte-stable.
@@ -17,6 +26,19 @@ from __future__ import annotations
 
 import json
 from typing import Iterable, Iterator, Mapping
+
+
+def _pack(terms: Mapping[tuple[int, ...], int], lows: list[int],
+          bases: list[int]) -> list[tuple[int, int]]:
+    """Each term as (key, coeff): key is the mixed-radix integer whose
+    digits, most significant first, are exps[i] - lows[i] in base bases[i]."""
+    packed = []
+    for exps, coeff in terms.items():
+        key = 0
+        for e, lo, base in zip(exps, lows, bases):
+            key = key * base + e - lo
+        packed.append((key, coeff))
+    return packed
 
 
 class VarTable:
@@ -142,14 +164,30 @@ class SparsePoly:
     def __mul__(self, other: "SparsePoly | int") -> "SparsePoly":
         other = self._coerce(other)
         a, b = self.terms, other.terms
+        if not (a and b):
+            return SparsePoly._owning(self.vars, {})
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return SparsePoly._owning(self.vars, out)
+        # per variable: (min, max) exponent in a, then in b
+        cols = [(min(x), max(x), min(y), max(y)) for x, y in zip(zip(*a), zip(*b))]
+        bases = [ha + hb - la - lb + 1 for la, ha, lb, hb in cols]
+        pa = _pack(a, [c[0] for c in cols], bases)
+        pb = _pack(b, [c[2] for c in cols], bases)
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        digits = [(la + lb, base) for (la, _, lb, _), base in zip(cols, bases)][::-1]
+        res: dict[tuple[int, ...], int] = {}
+        for key, coeff in out.items():
+            exps = []
+            for lo, base in digits:
+                key, d = divmod(key, base)
+                exps.append(lo + d)
+            res[tuple(exps[::-1])] = coeff
+        return SparsePoly._owning(self.vars, res)
 
     __rmul__ = __mul__
 

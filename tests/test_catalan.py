@@ -251,3 +251,32 @@ def test_path_sums_match_path_object_reference():
         for region in (None,) + H_REGIONS:
             got, want = refined_poly4(k, region), SparsePoly(refined4, reference_sum4(k, region, True))
             assert got.vars == want.vars and got == want, (k, region)
+
+
+def reference_product(a, b):
+    """Term dict of a * b by convolving exponent tuples, zeros dropped."""
+    out = Counter()
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def test_k4_products_match_the_tuple_convolution():
+    polys = [catalan_poly_k4(k) for k in range(7)]
+    for i in range(7):
+        for j in range(i, 7):
+            want = reference_product(polys[i].terms, polys[j].terms)
+            assert (polys[i] * polys[j]).terms == (polys[j] * polys[i]).terms == want, (i, j)
+
+
+def test_k4_ring_pair_product_evaluates_and_is_symmetric():
+    a, b = catalan_poly_k4(7), catalan_poly_k4(8)
+    p = a * b
+
+    def at(poly, q, t):
+        return sum(c * q ** i * t ** j for (i, j), c in poly.terms.items())
+
+    for q, t in [(2, 3), (3, 2), (5, 7), (-2, 11), (1, 1)]:
+        assert at(p, q, t) == at(a, q, t) * at(b, q, t), (q, t)
+    assert {(j, i): c for (i, j), c in p.terms.items()} == p.terms

@@ -175,6 +175,13 @@ def test_path4_validation_and_red_ranks():
     assert Path4(1, 0, 1, 0).red_ranks == (0, 1, 1, 2)
 
 
+@pytest.mark.parametrize("kabc", [(2, 0.5, 1, 0), (2.0, 1, 1, 0), (2, 1, True, 0),
+                                  (2, 1, 1, "0")])
+def test_path4_rejects_non_integers(kabc):
+    with pytest.raises(ValueError, match="must be integers"):
+        Path4(*kabc)
+
+
 @pytest.mark.parametrize("abc, area, bounce", [
     ((1, 1, 1), 0, 6),
     ((0, 0, 0), 6, 0),

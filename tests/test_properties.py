@@ -96,3 +96,49 @@ def test_series_equal_matches_truncate_then_compare(p, delta, near, wv):
     # ``near`` makes r differ from p only by delta, so equal slices occur
     r = p + delta if near else delta
     assert series_equal(p, r, wv) == reference_series_equal(p, r, wv)
+
+
+def reference_product(a, b):
+    """Term dict of a * b by convolving exponent tuples, zeros dropped."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def laurent_pairs(draw, max_size=8):
+    """Two polynomials over the same table of 0 to 4 variables."""
+    vars = VarTable(("q", "t", "x", "y")[:draw(st.integers(0, 4))])
+    terms = st.dictionaries(st.tuples(*[st.integers(-3, 4)] * len(vars)),
+                            st.integers(-3, 3), max_size=max_size)
+    return SparsePoly(vars, draw(terms)), SparsePoly(vars, draw(terms))
+
+
+@SETTINGS
+@given(laurent_pairs(), st.integers(-3, 3))
+def test_product_is_the_tuple_convolution(pair, k):
+    a, b = pair
+    zero = SparsePoly.zero(a.vars)
+    # (a + b) * (a - b) cancels the cross terms a*b - b*a
+    for x, y in ((a, b), (b, a), (a, zero), (zero, b), (a + b, a - b)):
+        p = x * y
+        assert_clean(p)
+        assert p.terms == reference_product(x.terms, y.terms)
+    assert (a + b) * (a - b) == a * a - b * b
+    const = {(0,) * len(a.vars): k} if k else {}
+    assert (a * k).terms == (k * a).terms == reference_product(a.terms, const)
+
+
+@SETTINGS
+@given(laurent_pairs(max_size=5), st.integers(0, 4))
+def test_power_is_repeated_multiplication(pair, n):
+    a = pair[0]
+    want = {(0,) * len(a.vars): 1}
+    for _ in range(n):
+        want = reference_product(want, a.terms)
+    p = a ** n
+    assert_clean(p)
+    assert p.terms == want
