@@ -17,7 +17,7 @@ from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3, _bounce4,
-                   _ranks3, enumerate_paths4)
+                   _ranks3, area4, bounce4, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -43,10 +43,11 @@ def _tally(names: Sequence[str], columns: Sequence[str],
            rows: Iterable[tuple[int, ...]]) -> SparsePoly:
     """Polynomial over ``names`` counting the rows, whose columns are ``columns``."""
     terms = Counter(map(itemgetter(*map(columns.index, names)), rows))
-    # every exponent is a path statistic or parameter, never negative
+    # every exponent is an int path statistic or parameter, never negative,
+    # so _owning can skip the constructor's checks
     if terms and min(min(exps) for exps in terms) < 0:
         raise AssertionError("negative exponent in a path polynomial")
-    return SparsePoly(VarTable(names), terms)
+    return SparsePoly._owning(VarTable(names), dict(terms))
 
 
 # One sweep per family, on plain tuples: a path is (k1, k2, k3, r2, r3) or
@@ -131,12 +132,9 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
 def catalan_poly_k4(k: int) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k^4."""
     # the one sum over enumerate_paths4 objects, whose count the k4_ring
-    # benchmark reads; they are read twice, lazily, since a list of their
-    # tuples would hold every path a second time
+    # benchmark reads
     paths = enumerate_paths4(k)
-    return _tally(QT_VARS, GF4_REFINED_VARS,
-                  _rows4(((k, p.a, p.b, p.c) for p in paths),
-                         (_bounce4(k, p.a, p.b, p.c) for p in paths), None))
+    return _tally(QT_VARS, QT_VARS, zip(map(area4, paths), map(bounce4, paths)))
 
 
 def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:

@@ -84,7 +84,7 @@ class ParamPath3:
             raise ValueError(f"d={self.d} exceeds {self.a - self.b + self.c} for {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path4:
     """Path for k^4, given by run parameters (a, b, c)."""
 
@@ -182,10 +182,24 @@ def enumerate_paths4(k: int) -> list[Path4]:
     """All paths for k^4, ordered lexicographically by (a, b, c)."""
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    return [Path4(k, a, b, c)
+    return [_loop_path4(k, a, b, c)
             for a in range(k + 1)
             for b in range(2 * k - a + 1)
             for c in range(3 * k - a - b + 1)]
+
+
+_new, _setattr = object.__new__, object.__setattr__
+
+
+def _loop_path4(k: int, a: int, b: int, c: int) -> Path4:
+    """The Path4 (k, a, b, c), built without ``__post_init__``: the loop
+    bounds of :func:`enumerate_paths4` already make it valid."""
+    p = _new(Path4)
+    _setattr(p, "k", k)
+    _setattr(p, "a", a)
+    _setattr(p, "b", b)
+    _setattr(p, "c", c)
+    return p
 
 
 def area4(p: Path4) -> int:

@@ -86,8 +86,9 @@ class SparsePoly:
     """Exact sparse polynomial over a fixed :class:`VarTable`.
 
     ``terms`` is a plain dict without zero coefficients (empty for zero).
-    The constructor checks and copies a caller's mapping; inside the package
-    results are built by :meth:`_owning`, which both use to drop zeros.
+    The constructor checks a caller's mapping (``int`` exponents and
+    coefficients, tuples of the table's length) and copies it; inside the
+    package results are built by :meth:`_owning`, which both use to drop zeros.
     """
 
     __slots__ = ("vars", "terms")
@@ -96,9 +97,13 @@ class SparsePoly:
         n = len(vars)
         own: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
             if len(exps) != n:
                 raise ValueError(f"exponent tuple {exps!r} has length {len(exps)}, expected {n}")
-            own[tuple(exps)] = coeff
+            # products read exponents as integer digits; a bool is an int but no number
+            if type(coeff) is not int or any(type(e) is not int for e in exps):
+                raise ValueError(f"term {exps!r}: {coeff!r} needs int exponents and coefficient")
+            own[exps] = coeff
         self.vars, self.terms = vars, SparsePoly._owning(vars, own).terms
 
     # ------------------------------------------------------------------
@@ -138,7 +143,7 @@ class SparsePoly:
     # arithmetic
 
     def _coerce(self, other: "SparsePoly | int") -> "SparsePoly":
-        if isinstance(other, int):
+        if type(other) is int:
             return SparsePoly.constant(self.vars, other)
         if not isinstance(other, SparsePoly):
             raise TypeError(f"cannot combine SparsePoly with {type(other).__name__}")
@@ -192,7 +197,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "SparsePoly":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = SparsePoly.one(self.vars)
         base = self

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -94,8 +95,12 @@ def test_refined_poly3_region_filters_partition():
 
 
 def test_refined_poly4_collapses_and_partitions():
+    # catalan_poly_k4 sums over Path4 objects, refined_poly4 over plain tuples
+    for k in range(11):
+        plain = catalan_poly_k4(k)
+        assert refined_poly4(k).eval_ones(["y2", "y3", "y4"]) == plain
+        assert ones(plain) * (4 * k + 5) == comb(4 * k + 5, 4)
     for k in range(4):
-        assert refined_poly4(k).eval_ones(["y2", "y3", "y4"]) == catalan_poly_k4(k)
         total = SparsePoly.zero(VarTable(("q", "t", "y2", "y3", "y4")))
         for region in H_REGIONS:
             total = total + refined_poly4(k, region)

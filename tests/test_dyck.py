@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import pytest
@@ -173,6 +176,23 @@ def test_path4_validation_and_red_ranks():
         Path4(1, 1, 1, 2)
     assert Path4(1, 1, 1, 1).red_ranks == (0, 0, 0, 0)
     assert Path4(1, 0, 1, 0).red_ranks == (0, 1, 1, 2)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_enumerated_paths4_are_indistinguishable_from_validated_ones(k):
+    # enumerate_paths4 skips __post_init__; the objects must not show it
+    for p in enumerate_paths4(k):
+        q = Path4(k, p.a, p.b, p.c)
+        assert (p, hash(p), repr(p), p.red_ranks) == (q, hash(q), repr(q), q.red_ranks)
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert copy.deepcopy(p) == p
+    p = enumerate_paths4(k)[-1]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(p, protocol)) == p
+    with pytest.raises(ValueError, match="out of range"):
+        replace(p, a=k + 1)
+    with pytest.raises(FrozenInstanceError):
+        p.a = 0
 
 
 @pytest.mark.parametrize("kabc", [(2, 0.5, 1, 0), (2.0, 1, 1, 0), (2, 1, True, 0),

@@ -180,6 +180,22 @@ def test_only_polynomial_module_assigns_terms():
     assert not stores, f"assignments to .terms outside polynomial.py: {stores}"
 
 
+@pytest.mark.parametrize("bad", [{(0.5, 0): 1}, {(0, 1): 1.0}, {(True, 0): 1},
+                                 {(0, 0): True}, {("1", 0): 1}, {(1, 0): "2"}])
+def test_constructor_rejects_non_int_terms(bad):
+    # a float exponent used to reach the packed product and come out wrong
+    with pytest.raises(ValueError, match=re.escape(f"term {next(iter(bad))!r}")):
+        SparsePoly(QT, {(0, 1): 1, **bad})
+
+
+@pytest.mark.parametrize("other", [True, 1.0])
+def test_arithmetic_rejects_operands_that_are_not_ints(other):
+    p = mono(QT, {"q": 1})
+    for op in (p.__add__, p.__mul__, p.__sub__):
+        with pytest.raises(TypeError, match=type(other).__name__):
+            op(other)
+
+
 def test_negative_exponents_allowed():
     p = mono(QT, {"q": -2, "t": 1})
     assert p * mono(QT, {"q": 2}) == mono(QT, {"t": 1})
@@ -248,3 +264,9 @@ def test_pow():
     p = SparsePoly.one(QT) + mono(QT, {"q": 1})
     assert p ** 0 == SparsePoly.one(QT)
     assert p ** 3 == p * p * p
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, -1])
+def test_pow_rejects_exponents_that_are_not_nonnegative_ints(n):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        mono(QT, {"q": 1}) ** n
