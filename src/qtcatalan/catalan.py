@@ -17,7 +17,7 @@ from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3, _bounce4,
-                   _ranks3, area4, bounce4, enumerate_paths4)
+                   _check_kvec3, _ranks3, area4, bounce4, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -101,8 +101,7 @@ def _check_args(region: str | None, allowed: tuple[str, ...], size: int = 0,
 
 def _sweep3(k: KVec3, region: str | None) -> Iterator[tuple[int, ...]]:
     """The rows of the paths for k in ``region`` (None: all)."""
-    if not isinstance(k, KVec3):
-        raise ValueError(f"expected a KVec3 vector, got {k!r}")
+    _check_kvec3(k)
     vector = [(k.k1, k.k2, k.k3)]
     return _rows3(_paths3(vector), _classify3(_paths3(vector)), _check_args(region, F_REGIONS))
 

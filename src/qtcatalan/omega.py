@@ -1,45 +1,23 @@
 """Truncated partition-analysis engine.
 
-A :class:`FactoredOmegaExpr` denotes
+A :class:`FactoredOmegaExpr` denotes numerator / prod_j (1 - m_j) over
+*retained* and *eliminated* variables, an eliminated variable keeping the
+terms whose exponent in it is >= 0 (mode ``nonneg``) or 0 (``zero``) and
+then being set to 1.
 
-    numerator / prod_j (1 - m_j)
+:func:`expand_truncated` expands every factor geometrically, exact for all
+terms up to a weighted degree on the retained variables: by geometric
+division when nothing is eliminated (the closed forms), else (the crude
+forms) by a multiplicity search that settles each eliminated variable at
+the last factor touching it, as in the last-factor step of MacMahon's
+partition analysis (Andrews, Paule and Riese; Xin).
 
-where the numerator is a signed sum of monomials and each m_j is a
-monomial, over a variable table split into *retained* variables and
-*eliminated* ones.  Eliminated variables carry a mode: ``nonneg`` keeps
-the terms whose exponent in that variable is >= 0, ``zero`` keeps the
-terms with exponent exactly 0; either way the variable is then set to 1.
-
-:func:`expand_truncated` expands every factor geometrically, bounded by a
-weighted total degree on the retained variables: every factor must have
-strictly positive weight, which makes the expansion finite, and the result
-is then exact for all terms of weighted degree <= the bound.  It has two
-branches.  An expression with nothing to eliminate (the closed forms) is
-expanded by geometric division: the numerator's terms are bucketed by
-weighted degree and each factor is divided out in one upward sweep over
-the buckets, at a cost of about terms x factors.  An expression with
-eliminated variables (the crude forms) goes to a multiplicity search that
-applies the elimination term by term.  Each eliminated variable is settled
-at the last factor that touches it, where its mode forces that factor's
-multiplicity (``zero``) or bounds it (``nonneg``), as in the last-factor
-step of MacMahon's partition analysis (Andrews, Paule and Riese; Xin); so
-the search visits a few nodes per emitted term.
-
-The crude generating functions for the two path families are *generated*
-from their linear constraint systems by :func:`build_crude_F` and
-:func:`build_crude_H`.  A region's crude form is one coefficient table, a
-row per variable and a column per summation variable: the retained
-variables' functionals, a slack row per inequality L >= 0, and a row
-A - z*p per ceiling p = ceil(A/z), whose auxiliary variable has mode
-``zero`` and numerator 1 + mu + ... + mu^(z-1).  Each column is a
-geometric factor, as in Xin's fast algorithm.  The closed rational forms
-they eliminate to are transcribed in ``data/closed_forms.json`` and
-loaded by :func:`closed_form`.
-
-Each region's system is written as cut lines, each once: case i of a split
-holds cut i and fails cut i - 1, whose strict complement -L - 1 >= 0 is
-derived, so the cases partition what is split.  The k^4 parts 2 and 3 (even
-and odd b) are one table in s and the parity r of b = 2s + r.
+The crude generating functions are *generated* by :func:`build_crude_F`
+and :func:`build_crude_H` from the region tables of :mod:`qtcatalan.dyck`,
+whose path classifiers are generated from the same rows: one coefficient
+table per region, each column a geometric factor, as in Xin's fast
+algorithm.  The closed rational forms they eliminate to are transcribed in
+``data/closed_forms.json`` and loaded by :func:`closed_form`.
 """
 
 from __future__ import annotations
@@ -54,6 +32,8 @@ from typing import Mapping, Sequence
 
 from .catalan import (F_REGIONS, GF3_REFINED_VARS, GF4_REFINED_VARS,
                       H_REGIONS, gf_series3, gf_series4)
+from .dyck import (_BOUNDS3, _CUTS4, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS,
+                   Linear, _case)
 from .polynomial import SparsePoly, VarTable
 
 MODE_NONNEG = "nonneg"
@@ -373,21 +353,6 @@ def slice_term_bound(expr: FactoredOmegaExpr, x_names: Sequence[str],
 F_BASE_WEIGHTS = {"q": 1, "t": 1, "y2": 2, "y3": 2}
 H_BASE_WEIGHTS = {"q": 1, "t": 1, "y2": 2, "y3": 2, "y4": 2}
 
-Linear = Mapping[str, int]  # sum-variable coefficients, "const" for the constant
-
-
-def _negated(row: Linear) -> Linear:
-    """Strict complement of ``row >= 0``, written ``-row - 1 >= 0``."""
-    out = {v: -c for v, c in row.items()}
-    out["const"] = out.get("const", 0) - 1
-    return out
-
-
-def _case(cuts: list[Linear], i: int) -> list[Linear]:
-    """Rows of case i (from 0) of a split by ``cuts``: it holds cut i and
-    fails cut i - 1, so the cases partition what the split divides."""
-    return cuts[i:i + 1] + ([_negated(cuts[i - 1])] if i else [])
-
 
 def _at_parity(row: Linear, r: int) -> Linear:
     """``row`` over s, with b = 2s + r and the parity symbol "r" set to r."""
@@ -397,48 +362,16 @@ def _at_parity(row: Linear, r: int) -> Linear:
     return out
 
 
-# A family's tables: the path domain rows; the cuts between its parts; per
-# part its summation variables ("p" is dropped in cases without a ceiling),
-# the cuts between its cases and each case's (bounce, ceilings).
+# Each family's retained functionals and path domain rows.  The region
+# tables, which the path classifiers are generated from too, are dyck's.
 
 _BASE3 = {"q": {"r2": 1, "r3": 1}, "x1": {"k1": 1}, "x2": {"k2": 1},
           "x3": {"k3": 1}, "y2": {"r2": 1}, "y3": {"r3": 1}}
-_BOUNDS3 = [{"k1": 1, "r2": -1},            # r2 <= k1
-            {"r2": 1, "k2": 1, "r3": -1}]   # r3 <= r2 + k2
-_CEIL3 = [(2, _BOUNDS3[1], "p")]            # p = ceil((r2 + k2 - r3)/2)
-_F_PART_CUTS = [{"r2": 1, "k2": -1, "const": -1}]   # part 1: r2 > k2
-_F_PARTS = (
-    # part 1, case 1: r2 - r3 >= k2
-    (("k1", "r2", "k2", "r3", "p", "k3"), [{"r2": 1, "k2": -1, "r3": -1}],
-     [({"k1": 2, "r2": -1, "r3": -1}, []), ({"k1": 2, "r2": -2, "p": 1}, _CEIL3)]),
-    # part 2, case 1: r2 + r3 <= k2
-    (("k1", "k2", "r2", "r3", "p", "k3"), [{"k2": 1, "r2": -1, "r3": -1}],
-     [({"k1": 2, "r2": -2, "k2": 1, "r3": -1}, []),
-      ({"k1": 2, "r2": -2, "p": 1}, _CEIL3)]),
-)
-
-# k^4: part 1 is written in b.  Parts 2 and 3 (b < 2k - 2a, b = 2s + r with
-# r = 0 and 1) are one table written in s and r, rewritten by _at_parity.
 _BASE4 = {"q": {"k": 6, "a": -3, "b": -2, "c": -1}, "x": {"k": 1},
           "y2": {"a": 1}, "y3": {"b": 1}, "y4": {"c": 1}}
 _DOMAIN4 = [{"k": 1, "a": -1},                        # a <= k
             {"k": 2, "a": -1, "b": -1},               # b <= 2k - a
             {"k": 3, "a": -1, "b": -1, "c": -1}]      # c <= 3k - a - b
-_H_PART_CUTS = [{"a": 2, "b": 1, "k": -2}]            # part 1: b >= 2k - 2a
-_CUTS4 = [{"a": 1, "s": 3, "c": 1, "k": -3, "r": 2},  # c >= 3k - a - 3s - 2r
-          {"a": 3, "s": 3, "c": 1, "k": -3, "r": 2}]  # c >= 3k - 3a - 3s - 2r
-_H_PARTS = (
-    # part 1, case 1: c >= 4k - 2a - 2b; case 2 needs ceil(c/2)
-    (("k", "a", "b", "c", "p"), [{"a": 2, "b": 2, "c": 1, "k": -4}],
-     [({"a": 6, "b": 3, "c": 1, "k": -4}, []),
-      ({"a": 5, "b": 2, "p": 1, "k": -2}, [(2, {"c": 1}, "p")])]),
-    # parts 2 and 3: case 2 holds cut 2 and its bounce needs the ceiling of
-    # half of it; case 3 needs ceil((c - r)/3)
-    (("k", "a", "s", "c", "p"), _CUTS4,
-     [({"a": 4, "s": 4, "c": 1, "k": -2, "r": 3}, []),
-      ({"a": 2, "s": 1, "k": 1, "p": 1, "r": 1}, [(2, _CUTS4[1], "p")]),
-      ({"a": 3, "s": 2, "p": 1, "r": 2}, [(3, {"c": 1, "r": -1}, "p")])]),
-)
 
 
 def _crude(retained: Sequence[str], base: Mapping[str, Linear],

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce4, area3,
-                            area4, bounce3, bounce3_bd, bounce4, bounce4_case,
+from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce3, _bounce4,
+                            area3, area4, bounce3, bounce3_bd, bounce4, bounce4_case,
                             ceil_div, count_paths3, enumerate_paths3,
                             enumerate_paths4, to_param3, to_redrank3)
 
@@ -60,6 +60,17 @@ def test_path3_rejects_a_vector_that_is_not_a_kvec3(k):
     # a plain tuple once failed with AttributeError on k.k1
     with pytest.raises(ValueError, match="KVec3"):
         Path3(k, 0, 0)
+
+
+def test_enumerate_paths3_rejects_a_vector_that_is_not_a_kvec3():
+    # a plain tuple once failed with AttributeError on k.k1
+    with pytest.raises(ValueError, match="KVec3"):
+        enumerate_paths3((1, 1, 1))
+
+
+def test_count_paths3_rejects_a_vector_that_is_not_a_kvec3():
+    with pytest.raises(ValueError, match="KVec3"):
+        count_paths3((1, 1, 1))
 
 
 @pytest.mark.parametrize("params", [
@@ -264,12 +275,17 @@ def reference_bounce4(k, a, b, c):
 
 
 def test_bounce4_matches_the_eight_branch_reference_on_paths():
+    # the public views on Path4 objects
     for k in range(13):
         for p in enumerate_paths4(k):
-            want = reference_bounce4(k, p.a, p.b, p.c)
-            assert (bounce4_case(p), bounce4(p)) == want, p
-            region, bounce = _bounce4(k, p.a, p.b, p.c)
-            assert (region + 1, bounce) == want, p
+            assert (bounce4_case(p), bounce4(p)) == reference_bounce4(k, p.a, p.b, p.c), p
+    # every path with k <= 24, as plain tuples
+    for k in range(25):
+        for a in range(k + 1):
+            for b in range(2 * k - a + 1):
+                for c in range(3 * k - a - b + 1):
+                    region, bounce = _bounce4(k, a, b, c)
+                    assert (region + 1, bounce) == reference_bounce4(k, a, b, c), (k, a, b, c)
 
 
 def test_bounce4_matches_the_eight_branch_reference_off_paths():
@@ -288,3 +304,26 @@ def test_bounce4_matches_the_eight_branch_reference_off_paths():
             region, bounce = _bounce4(*point)
             assert (region + 1, bounce) == want, point
     assert failures > 0
+
+
+def reference_bounce3(k1: int, k2: int, r2: int, r3: int) -> tuple[int, int]:
+    """(region, bounce) of the path (r2, r3), the region an index into
+    F_REGIONS by the branches taken: P1 when m = k2 < r2, C1 when u >= 2m."""
+    part, m = (0, k2) if r2 > k2 else (2, r2)
+    u = r2 + k2 - r3
+    if u >= 2 * m:
+        return part, 2 * (k1 - r2) + u - m
+    return part + 1, 2 * (k1 - r2) + ceil_div(u, 2)
+
+
+def test_bounce3_matches_the_two_branch_reference():
+    # every path of every vector with k1, k2 <= 8 (k3 plays no role)
+    for k1 in range(9):
+        for k2 in range(9):
+            for r2 in range(k1 + 1):
+                for r3 in range(r2 + k2 + 1):
+                    point = (k1, k2, r2, r3)
+                    assert _bounce3(*point) == reference_bounce3(*point), point
+    # off the paths too: both are total on the integers
+    for point in product(range(-2, 5), repeat=4):
+        assert _bounce3(*point) == reference_bounce3(*point), point

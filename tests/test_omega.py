@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from qtcatalan import omega
+from qtcatalan import catalan, dyck, omega
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, gf_series3, gf_series4,
                                refined_poly3)
 from qtcatalan.dyck import KVec3
@@ -279,6 +279,28 @@ def test_shifted_shared_cut_fails_every_region_built_from_it(
         diffs = dict(check_gf_section(section, 2)[0])
         assert not diffs["crude_vs_closed"].equal, section
         assert diffs["closed_vs_paths"].equal, section
+
+
+def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
+    # the path classifier and the crude forms read the same cut: shifted in
+    # place and the classifier rebuilt, each region built from the cut still
+    # has a crude form equal to its path sum, and only the closed form differs
+    cut = dyck._CUTS4[0]
+    monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
+    rebuilt = dyck._classifier("_bounce4", "k, a, b, c", "Path4", dyck._H_PART_CUTS,
+                               dyck._H_PARTS)
+    monkeypatch.setattr(catalan, "_bounce4", rebuilt)
+    catalan._classified4.cache_clear()
+    try:
+        for region in ("P2C1", "P2C2", "P3C1", "P3C2"):
+            oracle = gf_series4(2, region=region, refined=True)
+            form = closed_form("H" + region[1] + region[3])
+            bound = slice_term_bound(form, ("x",), H_BASE_WEIGHTS, 2)
+            wv = slice_weight_vector(oracle, ("x",), H_BASE_WEIGHTS, 2, min_m=bound)
+            assert expand_truncated(build_crude_H(region), wv) == oracle, region
+            assert not series_equal(expand_truncated(form, wv), oracle, wv).equal, region
+    finally:
+        catalan._classified4.cache_clear()
 
 
 def test_eq2_matches_enumeration_small():
