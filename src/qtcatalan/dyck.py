@@ -23,7 +23,9 @@ H_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2", "P2C3", "P3C1", "P3C2", "P3C3")
 
 
 def ceil_div(a: int, z: int) -> int:
-    """Mathematical ceiling of a/z for z >= 1, correct for negative a."""
+    """Mathematical ceiling of a/z for integers a and z >= 1, correct for negative a."""
+    if type(a) is not int or type(z) is not int:
+        raise ValueError(f"ceil_div requires integers, got {a!r} and {z!r}")
     if z <= 0:
         raise ValueError(f"ceil_div requires a positive divisor, got {z}")
     return -((-a) // z)
@@ -260,13 +262,24 @@ def bounce3(p: Path3) -> int:
     return _bounce3(p.k.k1, p.k.k2, p.r2, p.r3)[1]
 
 
+def _check_runs(name: str, a: int, c: int, b: int, d: int) -> None:
+    """Raise ValueError naming ``name`` unless (b, d) are integer run
+    parameters of a path for (a, c): all nonnegative, b <= a, d <= a - b + c."""
+    if not all(type(x) is int for x in (a, c, b, d)):
+        raise ValueError(f"{name} requires integers, got {(a, c, b, d)!r}")
+    if min(a, c, b, d, a - b, a - b + c - d) < 0:
+        raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
+
+
 def area_from_runs(a: int, c: int, b: int, d: int) -> int:
     """Area in run parameters: r2 + r3 = 2a - 2b + c - d."""
+    _check_runs("area_from_runs", a, c, b, d)
     return 2 * a - 2 * b + c - d
 
 
 def bounce_from_runs(a: int, c: int, b: int, d: int) -> int:
     """Bounce in run parameters (e plays no role)."""
+    _check_runs("bounce_from_runs", a, c, b, d)
     return _bounce3(a, c, a - b, a - b + c - d)[1]
 
 

@@ -2,9 +2,12 @@
 
 Paths for (a, c, e) are written in run parameters (b, d) with b <= a and
 b + d <= a + c.  Two maps cover the two regimes: ``phi`` for a <= c and
-``psi`` for a > c.  Each map is split into labelled cases, each written
-once as a predicate beside its image (L12 = G22, L21 = G31 and L22 = G32
-share theirs).  Applying the map sends a case to its partner case (or
+``psi`` for a > c.  Each map is split into labelled cases, and the table
+``_CASES`` defines them: per case its predicate rows and its image, in the
+``Linear`` format of dyck's region tables, over (a, b, c, d) and the
+derived symbols of ``_SYMBOLS`` (L12 = G22, L21 = G31 and L22 = G32 share
+their images).  ``_case`` is generated from the table at import as
+straight-line code.  Applying the map sends a case to its partner case (or
 back to itself), squares to the identity, and swaps the two statistics.
 ``verify_involution`` checks all of this exhaustively for one (a, c) pair
 and reports failures as data rather than raising.
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
-from .dyck import ParamPath3, area_from_runs, bounce_from_runs, ceil_div
+from . import dyck
+from .dyck import Linear, ParamPath3, _check_runs, _negated, _source, ceil_div
 
 CASE_EXCHANGE = {
     "L11": "L11", "L22": "L22", "L12": "L21", "L21": "L12",
@@ -50,62 +55,172 @@ def lemma4_check(c: int, d: int) -> bool:
     return parity_y(c, d1) == d & 1
 
 
-def _l12_g22(a: int, c: int, b: int, d: int) -> tuple[int, int]:
-    """Image of (b, d) in L12 and in G22."""
-    x = parity_x(a, c, b, d)
-    num = a - b + c - d - x
-    assert num % 2 == 0
-    return (num // 2, 2 * a - 2 * b + x)
+# ----------------------------------------------------------------------
+# the cases, as data
+
+# Derived symbols in order of definition: name -> (kind, row, z), the symbol
+# being ceil(row/z), floor(row/z), row mod z (row & 1 for z = 2), or row/z
+# with z dividing row.
+# x and y are parity_x and parity_y; u and v are the exact halves the
+# images of L12/G22 and L22/G32 divide by.
+_SYMBOLS = {
+    "h": ("ceil", {"d": 1}, 2),
+    "f": ("floor", {"d": 1}, 2),
+    "x": ("mod", {"a": 1, "b": -1, "c": 1, "d": -1}, 2),
+    "y": ("mod", {"c": 1, "h": 1}, 2),
+    "u": ("exact", {"a": 1, "b": -1, "c": 1, "d": -1, "x": -1}, 2),
+    "v": ("exact", {"c": 1, "h": 1, "y": -1}, 2),
+}
+
+# The map split and the cuts between cases, each row meaning row >= 0
+_A_LE_C = {"c": 1, "a": -1}                 # phi for a <= c, psi for a > c
+_WIDE = {"d": 1, "a": -2, "b": 2}           # 2(a - b) <= d
+_L11 = {"c": 1, "a": 1, "b": -3, "d": -1}   # 3b + d - a <= c
+_LOW = {"c": 1, "b": -2, "h": -1}           # 2b + h <= c
+_SHORT = {"c": 1, "a": -1, "b": 1}          # a - b <= c
+_TALL = {"d": 1, "c": -2}                   # 2c <= d
+_B_ZERO = {"b": -1}                         # b <= 0, so b = 0
+_A_GT_C = _negated(_A_LE_C)
 
 
-def _l21_g31(a: int, c: int, b: int, d: int) -> tuple[int, int]:
-    """Image of (b, d) in L21 and in G31."""
-    return (a - d // 2, 2 * d - 2 * b + c - 3 * ceil_div(d, 2))
+def _reversed(row: Linear) -> Linear:
+    """``row <= 0``, written ``-row >= 0``."""
+    return {v: -c for v, c in row.items()}
 
 
-def _l22_g32(a: int, c: int, b: int, d: int) -> tuple[int, int]:
-    """Image of (b, d) in L22 and in G32: b' = a - b - d + (c + ceil(d/2) - Y)/2;
-    subtracting instead fails to be an involution at (a, c, b, d) = (3, 2, 2, 0)."""
-    y = parity_y(c, d)
-    num = c + ceil_div(d, 2) - y
-    assert num % 2 == 0
-    return (a - b - d + num // 2, 2 * (d // 2) + y)
+# Images (b', d'), one row each
+_IMAGE_12 = ({"u": 1}, {"a": 2, "b": -2, "x": 1})                    # L12, G22
+_IMAGE_21 = ({"a": 1, "f": -1}, {"d": 2, "b": -2, "c": 1, "h": -3})   # L21, G31
+# b' = a - b - d + v: subtracting v instead fails to be an involution at
+# (a, c, b, d) = (3, 2, 2, 0)
+_IMAGE_22 = ({"a": 1, "b": -1, "d": -1, "v": 1}, {"f": 2, "y": 1})   # L22, G32
+
+# (label, predicate rows, image) per case, in first-match order; an
+# equality is a cut with its reverse
+_CASES = (
+    ("L11", [_A_LE_C, _WIDE, _L11], ({"b": 1}, {"a": 3, "b": -5, "c": 1, "d": -1})),
+    ("L12", [_A_LE_C, _WIDE, _negated(_L11)], _IMAGE_12),
+    ("L21", [_A_LE_C, _negated(_WIDE), _LOW], _IMAGE_21),
+    ("L22", [_A_LE_C, _negated(_WIDE), _negated(_LOW)], _IMAGE_22),
+    # the singletons G12 and G21 are carved out of G11 and G22 first
+    ("G12", [_A_GT_C, _B_ZERO, _TALL, _reversed(_TALL)],
+     ({"a": 1, "c": -1}, {"d": 1})),
+    ("G21", [_A_GT_C, _SHORT, _reversed(_SHORT), _WIDE, _reversed(_WIDE)],
+     ({}, {"d": 1})),
+    ("G11", [_A_GT_C, _negated(_SHORT), _TALL],
+     ({"a": 1, "b": -1, "c": 1, "d": -1}, {"d": 1})),
+    ("G22", [_A_GT_C, _SHORT, _WIDE], _IMAGE_12),
+    # the rest, where min(2(a - b), 2c) > d
+    ("G31", [_A_GT_C, _LOW], _IMAGE_21),
+    ("G32", [_A_GT_C, _negated(_LOW)], _IMAGE_22),
+)
 
 
-def _case(a: int, c: int, b: int, d: int) -> tuple[str, tuple[int, int]]:
-    """(label, image) of (b, d) under the map for (a, c); (b, d) must be valid."""
-    if a <= c:
-        if 2 * (a - b) <= d:
-            if 3 * b + d - a <= c:
-                return "L11", (b, 3 * a - 5 * b + c - d)
-            return "L12", _l12_g22(a, c, b, d)
-        if 2 * b + ceil_div(d, 2) <= c:
-            return "L21", _l21_g31(a, c, b, d)
-        return "L22", _l22_g32(a, c, b, d)
-    if b == 0 and d == 2 * c:
-        return "G12", (a - c, d)
-    if b == a - c and d == 2 * (a - b):
-        return "G21", (0, d)
-    if a - b > c and 2 * c <= d:
-        return "G11", (a - b + c - d, d)
-    if a - b <= c and 2 * (a - b) <= d:
-        return "G22", _l12_g22(a, c, b, d)
-    # remaining region: min(2(a - b), 2c) > d
-    if 2 * b + ceil_div(d, 2) <= c:
-        return "G31", _l21_g31(a, c, b, d)
-    return "G32", _l22_g32(a, c, b, d)
+# the test that holds wherever a test fails ("==" has none)
+_COMPLEMENT = {">=": "<", "<": ">=", "<=": ">", ">": "<=", "==": None}
+
+
+def _generate(cases: Sequence[tuple[str, list[Linear], tuple[Linear, Linear]]]
+              ) -> Callable[[int, int, int, int], tuple[str, tuple[int, int]]]:
+    """Compile ``_case(a, c, b, d)``, a point's (label, image), from a case
+    table as straight-line code.  Each row is tested as a comparison of its
+    positive and negative terms; consecutive cases that share their next test
+    share one ``if``, a test implied by the failure of the ``if`` before it
+    is left out, and each symbol is computed into a local where a path first
+    needs it.  A point no case holds for raises AssertionError naming it; an
+    exact quotient asserts that it divides."""
+    cuts: list[Linear] = []
+    found: dict[frozenset, tuple[int, str]] = {}  # a row's terms -> (j, op)
+
+    def key(row: Linear) -> frozenset:
+        return frozenset((v, k) for v, k in row.items() if k)
+
+    def test(row: Linear) -> tuple[int, str]:
+        """(j, op): the row holds iff cut j op 0."""
+        if key(row) not in found:
+            j = len(cuts)
+            cuts.append(row)
+            for op, form in ((">=", row), ("<", _negated(row)), ("<=", _reversed(row)),
+                             (">", _negated(_reversed(row)))):
+                found.setdefault(key(form), (j, op))
+        return found[key(row)]
+
+    def tests(rows: list[Linear]) -> list[tuple[int, str]]:
+        out: list[tuple[int, str]] = []
+        for j, op in map(test, rows):
+            if out and out[-1][0] == j and {out[-1][1], op} == {">=", "<="}:
+                out[-1] = (j, "==")
+            else:
+                out.append((j, op))
+        return out
+
+    def define(row: Linear, indent: str, defined: set) -> None:
+        for v in row:
+            if v not in _SYMBOLS or v in defined:
+                continue
+            kind, arg, z = _SYMBOLS[v]
+            define(arg, indent, defined)
+            defined.add(v)
+            term = _source(arg) if len(arg) == 1 else f"({_source(arg)})"
+            if kind == "ceil":
+                ceil = _source({**arg, "const": arg.get("const", 0) + z - 1})
+                lines.append(f"{indent}{v} = ({ceil}) // {z}")
+            elif kind == "floor":
+                lines.append(f"{indent}{v} = {term} // {z}")
+            elif kind == "mod":
+                lines.append(f"{indent}{v} = {term} {'& 1' if z == 2 else f'% {z}'}")
+            else:
+                lines.extend([f"{indent}{v} = {_source(arg)}",
+                              f"{indent}assert {v} % {z} == 0", f"{indent}{v} //= {z}"])
+
+    def emit(group: list, depth: int, indent: str, defined: set) -> bool:
+        """Emit the cases of ``group`` from their test ``depth`` on; True if
+        the code emitted always returns."""
+        returned = None  # the test of an if above whose block always returns
+        i = 0
+        while i < len(group):
+            label, checks, (b2, d2) = group[i]
+            if depth == len(checks):
+                define({**b2, **d2}, indent, defined)
+                lines.append(f"{indent}return {label!r}, ({_source(b2)}, {_source(d2)})")
+                return True
+            j, op = checks[depth]
+            n = i + 1
+            while n < len(group) and group[n][1][depth:depth + 1] == [(j, op)]:
+                n += 1
+            if returned == (j, _COMPLEMENT[op]):
+                if emit(group[i:n], depth + 1, indent, defined):
+                    return True
+                returned = None
+            else:
+                define(cuts[j], indent, defined)
+                positive = {v: k for v, k in cuts[j].items() if k > 0}
+                negative = {v: -k for v, k in cuts[j].items() if k < 0}
+                lines.append(f"{indent}if {_source(positive)} {op} {_source(negative)}:")
+                if emit(group[i:n], depth + 1, indent + "    ", set(defined)):
+                    returned = (j, op)
+            i = n
+        return False
+
+    lines = ["def _case(a, c, b, d):",
+             '    """(label, image) of (b, d) under the map for (a, c); (b, d) must be valid."""']
+    if not emit([(label, tests(rows), image) for label, rows, image in cases], 0, "    ", set()):
+        lines.append("    raise AssertionError(f'no involution case holds at "
+                     "(a, c, b, d) = ({a}, {c}, {b}, {d})')")
+    exec(compile("\n".join(lines), "<generated _case>", "exec"), {}, namespace := {})
+    return namespace["_case"]
+
+
+_case = _generate(_CASES)
 
 
 def _checked_case(a: int, c: int, b: int, d: int, name: str,
                   a_le_c: bool | None) -> tuple[str, tuple[int, int]]:
     """:func:`_case` after checking the input to ``name``: integers, a valid path,
     and a <= c iff ``a_le_c`` (None: either map)."""
-    if not all(type(x) is int for x in (a, c, b, d)):
-        raise ValueError(f"{name} requires integers, got {(a, c, b, d)!r}")
+    _check_runs(name, a, c, b, d)
     if a_le_c is not None and (a <= c) != a_le_c:
         raise ValueError(f"{name} requires a {'<=' if a_le_c else '>'} c, got a={a}, c={c}")
-    if min(a, c, b, d, a - b, a - b + c - d) < 0:
-        raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
     return _case(a, c, b, d)
 
 
@@ -192,23 +307,26 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
     case labels must follow CASE_EXCHANGE.  Failures are recorded, not
     raised; a negative or non-integer a or c raises ValueError.
 
-    Each point is evaluated once: a first pass records its label, image and
-    bounce in flat lists, row b starting at index ``start[b]``, and the
-    checks read a valid image's record at ``start[b2] + d2``.  The lists
-    hold the whole pair, so memory grows with its (a + 1)(a/2 + c + 1)
-    points: about 31 MiB at (400, 400).  Evaluating each image again
-    instead would hold next to nothing, at twice the evaluations.
+    Each point is evaluated once, by one ``_case`` and one ``dyck._bounce3``
+    call: a first pass records its label, image and bounce in flat lists,
+    row b starting at index ``start[b]``, and the checks read a valid image's
+    record at ``start[b2] + d2``.  The lists hold the whole pair, so memory
+    grows with its (a + 1)(a/2 + c + 1) points: about 31 MiB at (400, 400).
+    Evaluating each image again instead would hold next to nothing, at twice
+    the evaluations.
     """
     if type(a) is not int or type(c) is not int or a < 0 or c < 0:
         raise ValueError(f"verify_involution requires integers a, c >= 0, got a={a!r}, c={c!r}")
+    case, bounce3 = _case, dyck._bounce3
     labels, images, bounces, start = [], [], [], []
     for b in range(a + 1):
         start.append(len(labels))
-        for d in range(a - b + c + 1):
-            label, image = _case(a, c, b, d)
+        r2 = a - b
+        for d in range(r2 + c + 1):
+            label, image = case(a, c, b, d)
             labels.append(label)
             images.append(image)
-            bounces.append(bounce_from_runs(a, c, b, d))
+            bounces.append(bounce3(a, c, r2, r2 + c - d)[1])
     report = InvolutionReport(a, c, len(labels))
     fail = report.failures.append
     i = -1
@@ -225,8 +343,9 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
             if images[j] != (b, d):
                 fail(Failure(b, d, "not_involution"))
                 continue
-            if (area_from_runs(a, c, b2, d2) != bounces[i]
-                    or bounces[j] != area_from_runs(a, c, b, d)):
+            # the area is 2a - 2b + c - d, as in area_from_runs
+            if (2 * (a - b2) + c - d2 != bounces[i]
+                    or bounces[j] != 2 * (a - b) + c - d):
                 fail(Failure(b, d, "stat_mismatch"))
                 continue
             if labels[j] != CASE_EXCHANGE[labels[i]]:

@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce3, _bounce4,
-                            area3, area4, bounce3, bounce3_bd, bounce4, bounce4_case,
-                            ceil_div, count_paths3, enumerate_paths3,
-                            enumerate_paths4, to_param3, to_redrank3)
+                            area3, area4, area_from_runs, bounce3, bounce3_bd, bounce4,
+                            bounce4_case, bounce_from_runs, ceil_div, count_paths3,
+                            enumerate_paths3, enumerate_paths4, to_param3, to_redrank3)
 
 
 @pytest.mark.parametrize("a, z, expected", [
@@ -30,6 +30,12 @@ def test_ceil_div_rejects_nonpositive_divisor():
         ceil_div(3, 0)
     with pytest.raises(ValueError):
         ceil_div(3, -2)
+
+
+def test_ceil_div_rejects_non_integers():
+    for a, z in ((1.5, 2), (3, 2.0), (True, 2), (3, True)):
+        with pytest.raises(ValueError, match="requires integers"):
+            ceil_div(a, z)
 
 
 def test_kvec_validation():
@@ -138,6 +144,18 @@ def test_statistics_do_not_depend_on_last_component():
 ])
 def test_bounce3_bd_values(a, c, b, d, expected):
     assert bounce3_bd(ParamPath3(a, c, 0, b, d)) == expected
+
+
+@pytest.mark.parametrize("runs, match", [
+    ((1.5, 1, 0, 0), "requires integers"),   # a non-integer
+    ((1, -1, 0, 0), "not a valid path"),     # a negative value
+    ((1, 1, 5, 0), "not a valid path"),      # b > a
+    ((1, 1, 0, 3), "not a valid path"),      # d > a - b + c
+])
+@pytest.mark.parametrize("statistic", [area_from_runs, bounce_from_runs])
+def test_run_statistics_reject_what_is_no_path(statistic, runs, match):
+    with pytest.raises(ValueError, match=match):
+        statistic(*runs)
 
 
 def test_param_conversion_pinned_values():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from qtcatalan import dyck, involution
@@ -162,11 +164,13 @@ def test_verify_involution_reports_wrong_case_exchange(monkeypatch):
         (2, 2, "wrong_case_exchange"), (2, 3, "wrong_case_exchange")]
 
 
-def _l22_g32_subtracted(a, c, b, d):
-    """The variant named in ``_l22_g32``'s docstring: subtract, not add."""
-    y = parity_y(c, d)
-    num = c + ceil_div(d, 2) - y
-    return (a - b - d - num // 2, 2 * (d // 2) + y)
+def _g32_subtracted():
+    """``_case`` regenerated with b' = a - b - d - v, not + v, in the image of
+    L22 and G32: the variant named beside ``_IMAGE_22``."""
+    old = involution._IMAGE_22
+    new = ({**old[0], "v": -1}, old[1])
+    return involution._generate(tuple((label, rows, new if image is old else image)
+                                      for label, rows, image in involution._CASES))
 
 
 def _l11_sent_to(image):
@@ -182,7 +186,7 @@ def _l11_sent_to(image):
 # name -> how to break the map, given pytest's monkeypatch
 MUTANTS = {
     "real": lambda mp: None,
-    "g32_subtracted": lambda mp: mp.setattr(involution, "_l22_g32", _l22_g32_subtracted),
+    "g32_subtracted": lambda mp: mp.setattr(involution, "_case", _g32_subtracted()),
     "l11_fixed": lambda mp: mp.setattr(
         involution, "_case", _l11_sent_to(lambda a, c, b, d: (b, d))),
     "l11_past_row_end": lambda mp: mp.setattr(
@@ -252,3 +256,121 @@ def test_verify_involution_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(dyck, "_bounce3", counting("_bounce3", dyck._bounce3))
     report = verify_involution(6, 4)
     assert report.ok and calls == {"_case": report.checked, "_bounce3": report.checked}
+
+
+def test_verify_involution_makes_two_calls_per_point():
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    sys.setprofile(profile)
+    try:
+        report = verify_involution(6, 4)
+    finally:
+        sys.setprofile(None)
+    assert report.ok and report.checked == 56
+    assert calls <= 2 * report.checked + 4, calls
+
+
+# The hand-written maps the case table replaced, kept as a reference.
+
+def _l12_g22(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Image of (b, d) in L12 and in G22."""
+    x = parity_x(a, c, b, d)
+    num = a - b + c - d - x
+    assert num % 2 == 0
+    return (num // 2, 2 * a - 2 * b + x)
+
+
+def _l21_g31(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Image of (b, d) in L21 and in G31."""
+    return (a - d // 2, 2 * d - 2 * b + c - 3 * ceil_div(d, 2))
+
+
+def _l22_g32(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """Image of (b, d) in L22 and in G32: b' = a - b - d + (c + ceil(d/2) - Y)/2;
+    subtracting instead fails to be an involution at (a, c, b, d) = (3, 2, 2, 0)."""
+    y = parity_y(c, d)
+    num = c + ceil_div(d, 2) - y
+    assert num % 2 == 0
+    return (a - b - d + num // 2, 2 * (d // 2) + y)
+
+
+def reference_case(a: int, c: int, b: int, d: int) -> tuple[str, tuple[int, int]]:
+    """(label, image) of (b, d) under the map for (a, c); (b, d) must be valid."""
+    if a <= c:
+        if 2 * (a - b) <= d:
+            if 3 * b + d - a <= c:
+                return "L11", (b, 3 * a - 5 * b + c - d)
+            return "L12", _l12_g22(a, c, b, d)
+        if 2 * b + ceil_div(d, 2) <= c:
+            return "L21", _l21_g31(a, c, b, d)
+        return "L22", _l22_g32(a, c, b, d)
+    if b == 0 and d == 2 * c:
+        return "G12", (a - c, d)
+    if b == a - c and d == 2 * (a - b):
+        return "G21", (0, d)
+    if a - b > c and 2 * c <= d:
+        return "G11", (a - b + c - d, d)
+    if a - b <= c and 2 * (a - b) <= d:
+        return "G22", _l12_g22(a, c, b, d)
+    # remaining region: min(2(a - b), 2c) > d
+    if 2 * b + ceil_div(d, 2) <= c:
+        return "G31", _l21_g31(a, c, b, d)
+    return "G32", _l22_g32(a, c, b, d)
+
+
+def test_generated_case_matches_the_reference():
+    for a in range(17):
+        for c in range(17):
+            for b in range(a + 1):
+                for d in range(a - b + c + 1):
+                    assert involution._case(a, c, b, d) == reference_case(a, c, b, d), (a, c, b, d)
+
+
+def test_g32_subtracted_agrees_with_the_hand_written_variant():
+    def subtracted(a, c, b, d):
+        y = parity_y(c, d)
+        num = c + ceil_div(d, 2) - y
+        return (a - b - d - num // 2, 2 * (d // 2) + y)
+    case = _g32_subtracted()
+    for a in range(9):
+        for c in range(9):
+            for b in range(a + 1):
+                for d in range(a - b + c + 1):
+                    label, image = reference_case(a, c, b, d)
+                    if label in ("L22", "G32"):
+                        image = subtracted(a, c, b, d)
+                    assert case(a, c, b, d) == (label, image), (a, c, b, d)
+
+
+def _shifted(cut, by):
+    """The case table with ``cut``'s constant moved by ``by`` wherever the cut,
+    its complement or its reverse is a row."""
+    moved = {**cut, "const": cut.get("const", 0) + by}
+    forms = [(cut, moved), (dyck._negated(cut), dyck._negated(moved)),
+             (involution._reversed(cut), involution._reversed(moved))]
+    return tuple((label, [next((new for old, new in forms if row == old), row) for row in rows],
+                  image) for label, rows, image in involution._CASES)
+
+
+@pytest.mark.parametrize("cut", ["_A_LE_C", "_WIDE", "_L11", "_LOW", "_SHORT", "_TALL",
+                                 "_B_ZERO"])
+def test_a_shifted_cut_is_reported(monkeypatch, cut):
+    table = _shifted(getattr(involution, cut), -1)
+    assert table != involution._CASES
+    monkeypatch.setattr(involution, "_case", involution._generate(table))
+    reasons = [f.reason for a in range(8) for c in range(8)
+               for f in verify_involution(a, c).failures]
+    assert reasons
+    assert set(reasons) <= {"invalid_image", "not_involution", "stat_mismatch",
+                            "wrong_case_exchange"}
+
+
+def test_a_point_no_case_holds_for_is_named():
+    case = involution._generate(involution._CASES[:-1])  # without G32
+    assert case(3, 2, 0, 4) == reference_case(3, 2, 0, 4) == ("G12", (1, 4))
+    with pytest.raises(AssertionError,
+                       match=r"no involution case holds at \(a, c, b, d\) = \(3, 2, 2, 0\)"):
+        case(3, 2, 2, 0)
