@@ -1,8 +1,10 @@
 """Batch front end: polynomials, verification suites, and path tables.
 
 Exit codes: 0 on success, 1 when a verification suite finds a
-counterexample (reported as JSON on stdout), 2 on usage errors.  Progress
-goes to stderr, results to stdout.
+counterexample (reported as JSON on stdout), 2 on usage errors, and 141
+(128 + SIGPIPE, as a shell reports a process a closed pipe ends) with
+nothing on stderr when the reader of stdout closes it early, as
+``| head`` does.  Progress goes to stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .catalan import catalan_poly3, catalan_poly_k4, catalan_poly_lambda3
@@ -167,43 +170,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
-        if args.command == "poly3":
-            _emit_poly(catalan_poly3(KVec3(*_parse_ints(args.k, 3, "--k"))),
-                       args.format)
-            return 0
-        if args.command == "poly-lambda":
-            _emit_poly(catalan_poly_lambda3(_parse_ints(args.lam, 3, "--lambda")),
-                       args.format)
-            return 0
-        if args.command == "poly4":
-            if args.k < 0:
-                raise ValueError("--k must be nonnegative")
-            _emit_poly(catalan_poly_k4(args.k), args.format)
-            return 0
         if args.command == "verify":
             if args.max < 0 or args.truncate < 0:
                 raise ValueError("--max and --truncate must be nonnegative")
-            if args.suite == "symmetry3":
-                return _verify_symmetry3(args.max)
-            if args.suite == "symmetry4":
-                return _verify_symmetry4(args.max)
-            if args.suite == "involution":
-                return _verify_involution(args.max)
-            return _verify_gf(args.truncate)
+            if args.suite == "gf":
+                return _verify_gf(args.truncate)
+            return {"symmetry3": _verify_symmetry3, "symmetry4": _verify_symmetry4,
+                    "involution": _verify_involution}[args.suite](args.max)
         if args.command == "table":
             if args.what == "stats3":
                 _table_stats3(KVec3(*_parse_ints(args.k, 3, "--k")), args.format)
             else:
-                (k,) = _parse_ints(args.k, 1, "--k")
-                _table_stats4(k, args.format)
+                _table_stats4(*_parse_ints(args.k, 1, "--k"), args.format)
             return 0
+        if args.command == "poly3":
+            poly = catalan_poly3(KVec3(*_parse_ints(args.k, 3, "--k")))
+        elif args.command == "poly-lambda":
+            poly = catalan_poly_lambda3(_parse_ints(args.lam, 3, "--lambda"))
+        elif args.k < 0:
+            raise ValueError("--k must be nonnegative")
+        else:
+            poly = catalan_poly_k4(args.k)
+        _emit_poly(poly, args.format)
+        return 0
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
-    raise AssertionError("unreachable")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code = _run(parser, args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); the flush at exit
+        # then writes to devnull, and nothing reaches stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

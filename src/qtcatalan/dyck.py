@@ -9,14 +9,19 @@ up-run and d after the second, with r2 = a - b and r3 = a - b + c - d for
 
 The statistics are area (sum of red ranks) and bounce, neither depending on
 the last vector component.  The region tables below, which omega's crude
-forms are built from, define the bounce: the path classifiers generated from
-them give a path's bounce and its region's index in ``F_REGIONS``/``H_REGIONS``.
+forms are built from, define the bounce.  :func:`_compile`, the package's one
+code generator, writes straight-line code from a first-match table of rows;
+the region tables are lowered into that form, each split's overlap check
+being guard cases read as rows, and compiled to the path classifiers, which
+give a path's bounce and its region's index in ``F_REGIONS``/``H_REGIONS``.
+The involution's case table is compiled the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 F_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2")
 H_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2", "P2C3", "P3C1", "P3C2", "P3C3")
@@ -88,58 +93,146 @@ _H_PARTS = (
 )
 
 
-def _source(row: Linear, ceilings=(), cuts: Sequence[Linear] = ()) -> str:
-    """Python expression for ``row``, with no multiplication by 1: a ceiling
-    p = ceil(A/z) is -((-A) // z), reading -A from its local if A is a cut."""
+def _source(row: Linear) -> str:
+    """Python expression for ``row``, with no multiplication by 1."""
     terms = []
     for v, c in row.items():
-        for z, a, p in ceilings:
-            if v == p:
-                neg = next((f"-cut{j}" for j, cut in enumerate(cuts) if a is cut), None)
-                v, c = f"(({neg or _source({u: -e for u, e in a.items()})}) // {z})", -c
         if c:
             text = str(abs(c)) if v == "const" else v if abs(c) == 1 else f"{abs(c)} * {v}"
             terms.append(f"{'-' if c < 0 else '+'} {text}")
     return " ".join(terms or ["0"]).removeprefix("+ ")
 
 
-def _classifier(name: str, args: str, point: str, part_cuts: list[Linear],
-                parts: Sequence[tuple]) -> Callable[..., tuple[int, int]]:
-    """Compile ``name(args)``, a path's (region, bounce), from a family's
-    tables as straight-line code.  Each cut is computed once into a local L,
-    and a case tests its :func:`_case` rows as L >= 0, or L < 0 for -L - 1 >= 0.
-    A split by two or more cuts raises AssertionError naming ``point`` unless
-    exactly one case holds; one cut splits every integer point in two."""
-    def tests(rows: list[Linear], cuts: list[Linear], local: str) -> str:
-        return " and ".join(next(f"{local}{j} {'>=' if row is cut else '<'} 0"
-                                 for j, cut in enumerate(cuts)
-                                 if row is cut or row == _negated(cut)) for row in rows)
+def _reversed(row: Linear) -> Linear:
+    """``row <= 0``, written ``-row >= 0``."""
+    return {v: -c for v, c in row.items()}
 
-    fields = ", ".join(f"{v}={{{v}}}" for v in args.split(", "))
+
+# the test that holds wherever a test fails, where tests() gives one (it never
+# gives ">", the complement of "<=", and "==" has none)
+_COMPLEMENT = {">=": "<", "<": ">="}
+
+
+def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
+             symbols: Mapping[str, tuple[str, Linear, int]]) -> Callable:
+    """Compile ``name(args)`` from a first-match table as straight-line code.
+
+    A case (rows, result) holds where its rows hold and no earlier case's
+    do.  Rows read the arguments and ``symbols``: name -> (kind, row, z) for
+    ceil(row/z), floor(row/z), row mod z, or row/z asserted exact.  A result
+    of rows, strings and tuples is returned; a message, an f-string over the
+    arguments and its rows' symbols, is raised as AssertionError.  Cases
+    sharing their next test share an ``if``, a test known to hold is left
+    out, and a symbol is computed where a path first needs it."""
+    cuts: list[Linear] = []
+    found: dict[frozenset, tuple[int, str]] = {}  # a row's terms -> (j, op)
+
+    def key(row: Linear) -> frozenset:
+        return frozenset((v, k) for v, k in row.items() if k)
+
+    def tests(rows: list[Linear]) -> list[tuple[int, str]]:
+        """Each row as (j, op), holding iff cut j op 0; ">=" then "<=" is "=="."""
+        out: list[tuple[int, str]] = []
+        for row in rows:
+            if key(row) not in found:
+                cuts.append(row)
+                for op, form in ((">=", row), ("<", _negated(row)), ("<=", _reversed(row))):
+                    found.setdefault(key(form), (len(cuts) - 1, op))
+            j, op = found[key(row)]
+            if out and out[-1][0] == j and {out[-1][1], op} == {">=", "<="}:
+                out[-1] = (j, "==")
+            else:
+                out.append((j, op))
+        return out
+
+    def define(row: Linear, indent: str, defined: set) -> None:
+        for v in row:
+            if v not in symbols or v in defined:
+                continue
+            kind, arg, z = symbols[v]
+            define(arg, indent, defined)
+            defined.add(v)
+            term = _source(arg) if len(arg) == 1 else f"({_source(arg)})"
+            if kind == "ceil":
+                ceil = _source({**arg, "const": arg.get("const", 0) + z - 1})
+                lines.append(f"{indent}{v} = ({ceil}) // {z}")
+            elif kind == "floor":
+                lines.append(f"{indent}{v} = {term} // {z}")
+            elif kind == "mod":
+                lines.append(f"{indent}{v} = {term} {'& 1' if z == 2 else f'% {z}'}")
+            else:
+                lines.extend([f"{indent}{v} = {_source(arg)}",
+                              f"{indent}assert {v} % {z} == 0", f"{indent}{v} //= {z}"])
+
+    def source(value, indent: str, defined: set) -> str:
+        if isinstance(value, str):
+            return repr(value)
+        if isinstance(value, tuple):
+            return f"({', '.join(source(v, indent, defined) for v in value)})"
+        define(value, indent, defined)
+        return _source(value)
+
+    def emit(group: Iterable, depth: int, indent: str, defined: set, known: set) -> bool:
+        """Emit the cases of ``group`` from their test ``depth`` on, where the
+        tests in ``known`` hold; True if the code emitted always returns."""
+        for test, same in groupby(group, lambda case: case[0][depth:depth + 1]):
+            if not test:
+                value = next(same)[1]
+                lines.append(f"{indent}raise AssertionError(f{value!r})" if isinstance(value, str)
+                             else f"{indent}return {source(value, indent, defined)[1:-1]}")
+                return True
+            j, op = test[0]
+            if (j, op) in known:
+                if emit(same, depth + 1, indent, defined, known):
+                    return True
+            else:
+                define(cuts[j], indent, defined)
+                positive = {v: k for v, k in cuts[j].items() if k > 0}
+                negative = {v: -k for v, k in cuts[j].items() if k < 0}
+                lines.append(f"{indent}if {_source(positive)} {op} {_source(negative)}:")
+                if emit(same, depth + 1, indent + "    ", set(defined), known | {(j, op)}):
+                    known.add((j, _COMPLEMENT.get(op)))
+        return False
+
     lines = [f"def {name}({args}):"]
-    lines += [f"    part{j} = {_source(cut)}" for j, cut in enumerate(part_cuts)]
+    emit([(tests(rows), result) for rows, result in cases], 0, "    ", set(), set())
+    exec(compile("\n".join(lines), f"<generated {name}>", "exec"), {}, namespace := {})
+    return namespace[name]
+
+
+def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tuple]
+             ) -> tuple[list[tuple[list[Linear], object]], dict]:
+    """A family's part and case tables as a :func:`_compile` table and its
+    symbols.  Case j of part i has the rows ``_case(part_cuts, i) +
+    _case(cuts, j)`` and returns (region, bounce), each ceiling a ceil symbol
+    of its own; a table in s reads s = floor(b/2) and r = b mod 2, at region
+    first + j + n*r.  Ahead of a split's cases, a guard case per pair j,
+    m >= j + 2 raises where both hold, and a last case where none does."""
+    fields = ", ".join(f"{v}={{{v}}}" for v in args.split(", "))
+    symbols = {"s": ("floor", {"b": 1}, 2), "r": ("mod", {"b": 1}, 2)}
+    table: list[tuple[list[Linear], object]] = []
     first = 0
     for i, (sum_vars, cuts, cases) in enumerate(parts):
-        # a table in s is read with s, r = divmod(b, 2), its r = 1 regions last
-        n, parity = len(cases), "s" in sum_vars
-        regions = [f"{first + j} + {n} * r" if parity else f"{first + j}" for j in range(n)]
-        first += n * (1 + parity)
-        lines.append(f"    if {tests(_case(part_cuts, i), part_cuts, 'part')}:")
-        lines += ["        s, r = divmod(b, 2)"] * parity
-        lines += [f"        cut{j} = {_source(cut)}" for j, cut in enumerate(cuts)]
-        hits = [tests(_case(cuts, j), cuts, "cut") for j in range(n)]
-        if len(cuts) > 1:
-            lines += [f"        hit{j} = {hit}" for j, hit in enumerate(hits)]
-            hits = [f"hit{j}" for j in range(n)]
-            fired = f"[j for j, hit in enumerate(({', '.join(hits)}), {regions[0]} + 1) if hit]"
-            lines += [f"        if {' + '.join(hits)} != 1:",
-                      f"            raise AssertionError(f'bounce cases {{{fired}}} fired for "
-                      f"{point}({fields}); expected exactly one')"]
-        for hit, region, (bounce, ceilings) in zip(hits, regions, cases):
-            lines += [f"        if {hit}:",
-                      f"            return {region}, {_source(bounce, ceilings, cuts)}"]
-    exec(compile("\n".join(lines), f"<generated {name}>", "exec"), globals(), namespace := {})
-    return namespace[name]
+        n = len(cases)
+        regions = [{"const": first + j, **({"r": n} if "s" in sum_vars else {})} for j in range(n)]
+        first += n * (1 + ("s" in sum_vars))
+        rows = [_case(part_cuts, i) + _case(cuts, j) for j in range(n)]
+        table += [(rows[j] + rows[m],
+                   f"bounce cases [{{{_source(regions[j])} + 1}}, {{{_source(regions[m])} + 1}}] "
+                   f"fired for {point}({fields}); expected exactly one")
+                  for j in range(n) for m in range(j + 2, n)]
+        for j, (bounce, ceilings) in enumerate(cases):
+            for z, a, p in ceilings:
+                symbols[f"{p}{len(table)}"] = ("ceil", a, z)
+                bounce = {f"{p}{len(table)}" if v == p else v: c for v, c in bounce.items()}
+            table.append((rows[j], (regions[j], bounce)))
+    return table + [([], f"no bounce case holds for {point}({fields})")], symbols
+
+
+def _classifier(name: str, args: str, point: str, part_cuts: list[Linear],
+                parts: Sequence[tuple]) -> Callable[..., tuple[int, int]]:
+    """Compile ``name(args)``, a path's (region, bounce), from a family's tables."""
+    return _compile(name, args, *_lowered(args, point, part_cuts, parts))
 
 
 # (region, bounce) of a path (r2, r3) for (k1, k2, k3), or (a, b, c) for k^4

@@ -6,11 +6,11 @@ b + d <= a + c.  Two maps cover the two regimes: ``phi`` for a <= c and
 ``_CASES`` defines them: per case its predicate rows and its image, in the
 ``Linear`` format of dyck's region tables, over (a, b, c, d) and the
 derived symbols of ``_SYMBOLS`` (L12 = G22, L21 = G31 and L22 = G32 share
-their images).  ``_case`` is generated from the table at import as
-straight-line code.  Applying the map sends a case to its partner case (or
-back to itself), squares to the identity, and swaps the two statistics.
-``verify_involution`` checks all of this exhaustively for one (a, c) pair
-and reports failures as data rather than raising.
+their images).  dyck's one code generator compiles the table into
+``_case``, straight-line code, at import.  Applying the map sends a case to
+its partner case (or back to itself), squares to the identity, and swaps
+the two statistics.  ``verify_involution`` checks all of this exhaustively
+for one (a, c) pair and reports failures as data rather than raising.
 
 Case labels and their exchange pattern:
 
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from . import dyck
-from .dyck import Linear, ParamPath3, _check_runs, _negated, _source, ceil_div
+from .dyck import Linear, ParamPath3, _check_runs, _negated, _reversed, ceil_div
 
 CASE_EXCHANGE = {
     "L11": "L11", "L22": "L22", "L12": "L21", "L21": "L12",
@@ -58,10 +58,8 @@ def lemma4_check(c: int, d: int) -> bool:
 # ----------------------------------------------------------------------
 # the cases, as data
 
-# Derived symbols in order of definition: name -> (kind, row, z), the symbol
-# being ceil(row/z), floor(row/z), row mod z (row & 1 for z = 2), or row/z
-# with z dividing row.
-# x and y are parity_x and parity_y; u and v are the exact halves the
+# Derived symbols, in dyck._compile's format: h = ceil(d/2), f = d // 2, x
+# and y are parity_x and parity_y, and u and v are the exact halves the
 # images of L12/G22 and L22/G32 divide by.
 _SYMBOLS = {
     "h": ("ceil", {"d": 1}, 2),
@@ -81,11 +79,6 @@ _SHORT = {"c": 1, "a": -1, "b": 1}          # a - b <= c
 _TALL = {"d": 1, "c": -2}                   # 2c <= d
 _B_ZERO = {"b": -1}                         # b <= 0, so b = 0
 _A_GT_C = _negated(_A_LE_C)
-
-
-def _reversed(row: Linear) -> Linear:
-    """``row <= 0``, written ``-row >= 0``."""
-    return {v: -c for v, c in row.items()}
 
 
 # Images (b', d'), one row each
@@ -116,99 +109,12 @@ _CASES = (
 )
 
 
-# the test that holds wherever a test fails ("==" has none)
-_COMPLEMENT = {">=": "<", "<": ">=", "<=": ">", ">": "<=", "==": None}
-
-
 def _generate(cases: Sequence[tuple[str, list[Linear], tuple[Linear, Linear]]]
               ) -> Callable[[int, int, int, int], tuple[str, tuple[int, int]]]:
-    """Compile ``_case(a, c, b, d)``, a point's (label, image), from a case
-    table as straight-line code.  Each row is tested as a comparison of its
-    positive and negative terms; consecutive cases that share their next test
-    share one ``if``, a test implied by the failure of the ``if`` before it
-    is left out, and each symbol is computed into a local where a path first
-    needs it.  A point no case holds for raises AssertionError naming it; an
-    exact quotient asserts that it divides."""
-    cuts: list[Linear] = []
-    found: dict[frozenset, tuple[int, str]] = {}  # a row's terms -> (j, op)
-
-    def key(row: Linear) -> frozenset:
-        return frozenset((v, k) for v, k in row.items() if k)
-
-    def test(row: Linear) -> tuple[int, str]:
-        """(j, op): the row holds iff cut j op 0."""
-        if key(row) not in found:
-            j = len(cuts)
-            cuts.append(row)
-            for op, form in ((">=", row), ("<", _negated(row)), ("<=", _reversed(row)),
-                             (">", _negated(_reversed(row)))):
-                found.setdefault(key(form), (j, op))
-        return found[key(row)]
-
-    def tests(rows: list[Linear]) -> list[tuple[int, str]]:
-        out: list[tuple[int, str]] = []
-        for j, op in map(test, rows):
-            if out and out[-1][0] == j and {out[-1][1], op} == {">=", "<="}:
-                out[-1] = (j, "==")
-            else:
-                out.append((j, op))
-        return out
-
-    def define(row: Linear, indent: str, defined: set) -> None:
-        for v in row:
-            if v not in _SYMBOLS or v in defined:
-                continue
-            kind, arg, z = _SYMBOLS[v]
-            define(arg, indent, defined)
-            defined.add(v)
-            term = _source(arg) if len(arg) == 1 else f"({_source(arg)})"
-            if kind == "ceil":
-                ceil = _source({**arg, "const": arg.get("const", 0) + z - 1})
-                lines.append(f"{indent}{v} = ({ceil}) // {z}")
-            elif kind == "floor":
-                lines.append(f"{indent}{v} = {term} // {z}")
-            elif kind == "mod":
-                lines.append(f"{indent}{v} = {term} {'& 1' if z == 2 else f'% {z}'}")
-            else:
-                lines.extend([f"{indent}{v} = {_source(arg)}",
-                              f"{indent}assert {v} % {z} == 0", f"{indent}{v} //= {z}"])
-
-    def emit(group: list, depth: int, indent: str, defined: set) -> bool:
-        """Emit the cases of ``group`` from their test ``depth`` on; True if
-        the code emitted always returns."""
-        returned = None  # the test of an if above whose block always returns
-        i = 0
-        while i < len(group):
-            label, checks, (b2, d2) = group[i]
-            if depth == len(checks):
-                define({**b2, **d2}, indent, defined)
-                lines.append(f"{indent}return {label!r}, ({_source(b2)}, {_source(d2)})")
-                return True
-            j, op = checks[depth]
-            n = i + 1
-            while n < len(group) and group[n][1][depth:depth + 1] == [(j, op)]:
-                n += 1
-            if returned == (j, _COMPLEMENT[op]):
-                if emit(group[i:n], depth + 1, indent, defined):
-                    return True
-                returned = None
-            else:
-                define(cuts[j], indent, defined)
-                positive = {v: k for v, k in cuts[j].items() if k > 0}
-                negative = {v: -k for v, k in cuts[j].items() if k < 0}
-                lines.append(f"{indent}if {_source(positive)} {op} {_source(negative)}:")
-                if emit(group[i:n], depth + 1, indent + "    ", set(defined)):
-                    returned = (j, op)
-            i = n
-        return False
-
-    lines = ["def _case(a, c, b, d):",
-             '    """(label, image) of (b, d) under the map for (a, c); (b, d) must be valid."""']
-    if not emit([(label, tests(rows), image) for label, rows, image in cases], 0, "    ", set()):
-        lines.append("    raise AssertionError(f'no involution case holds at "
-                     "(a, c, b, d) = ({a}, {c}, {b}, {d})')")
-    exec(compile("\n".join(lines), "<generated _case>", "exec"), {}, namespace := {})
-    return namespace["_case"]
+    """Compile ``_case(a, c, b, d)``, a point's (label, image), from a case table."""
+    table = [(rows, (label, image)) for label, rows, image in cases]
+    no_case = "no involution case holds at (a, c, b, d) = ({a}, {c}, {b}, {d})"
+    return dyck._compile("_case", "a, c, b, d", table + [([], no_case)], _SYMBOLS)
 
 
 _case = _generate(_CASES)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qtcatalan
 from qtcatalan.cli import main
 
 
@@ -235,3 +240,25 @@ def test_verify_involution_reports_wrong_case_exchange(capsys, monkeypatch):
                    '{"a": 1, "c": 1, "checked": 5, "failures": ['
                    '{"b": 1, "d": 0, "reason": "wrong_case_exchange"}, '
                    '{"b": 1, "d": 1, "reason": "wrong_case_exchange"}]}}\n')
+
+
+@pytest.mark.parametrize("k, first_line", [
+    # about 120 KB of rows, more than a pipe buffer: the CLI is still
+    # writing rows when the reader goes away
+    ("60,60,1", b"r2,r3,b,d,area,bounce,case\n"),
+    # a few rows, all buffered: the reader is gone before they are flushed
+    ("1,2,1", None),
+])
+def test_a_reader_closing_the_pipe_early_gets_exit_141_and_no_stderr(k, first_line):
+    # stdout block-buffered, as a shell leaves it for a pipe
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(qtcatalan.__file__).parents[1])
+    with subprocess.Popen([sys.executable, "-m", "qtcatalan.cli", "table", "--what", "stats3",
+                           "--k", k], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        if first_line is not None:
+            assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -1,10 +1,12 @@
 import copy
 import pickle
+import sys
 from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import pytest
 
+from qtcatalan import dyck
 from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce3, _bounce4,
                             area3, area4, area_from_runs, bounce3, bounce3_bd, bounce4,
                             bounce4_case, bounce_from_runs, ceil_div, count_paths3,
@@ -253,10 +255,43 @@ def test_bounce4_cases_partition_small():
 
 def test_bounce4_overlapping_cases_name_the_path():
     # a = -1 is no path: its even-b bounds overlap, so cases 3 and 5 both
-    # fire, which only shows when every predicate is evaluated
+    # hold, which the guard case ahead of them reports
     with pytest.raises(AssertionError,
                        match=r"\[3, 5\] fired for Path4\(k=0, a=-1, b=0, c=1\)"):
         _bounce4(0, -1, 0, 1)
+
+
+def test_classifiers_make_no_other_call():
+    # one path per region of each family, through a ceiling and both parities
+    paths3 = {_bounce3(*point)[0]: point for point in product(range(4), repeat=4)
+              if 0 <= point[2] <= point[0] and 0 <= point[3] <= point[2] + point[1]}
+    paths4 = {_bounce4(2, p.a, p.b, p.c)[0]: (2, p.a, p.b, p.c) for p in enumerate_paths4(2)}
+    assert sorted(paths3) == list(range(4)) and sorted(paths4) == list(range(8))
+    for classify, paths in ((_bounce3, paths3), (_bounce4, paths4)):
+        for point in paths.values():
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+            sys.setprofile(profile)
+            try:
+                classify(*point)
+            finally:
+                sys.setprofile(None)
+            assert calls == 1, (classify.__name__, point)
+
+
+def test_a_bounce_table_without_its_last_case_names_the_point():
+    table, symbols = dyck._lowered("k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS)
+    assert table[-1][0] == []  # the rowless case that holds where no other does
+    # without P2C3/P3C3, the last case of the s table
+    classify = dyck._compile("_bounce4", "k, a, b, c", table[:-2] + table[-1:], symbols)
+    assert classify(1, 1, 0, 0) == _bounce4(1, 1, 0, 0) == (1, 3)
+    assert _bounce4(1, 0, 0, 0)[0] == 4
+    with pytest.raises(AssertionError,
+                       match=r"^no bounce case holds for Path4\(k=1, a=0, b=0, c=0\)$"):
+        classify(1, 0, 0, 0)
 
 
 def reference_bounce4(k, a, b, c):
