@@ -1,10 +1,10 @@
 """Batch front end: polynomials, verification suites, and path tables.
 
-Exit codes: 0 on success, 1 when a verification suite finds a
-counterexample (reported as JSON on stdout), 2 on usage errors, and 141
-(128 + SIGPIPE, as a shell reports a process a closed pipe ends) with
-nothing on stderr when the reader of stdout closes it early, as
-``| head`` does.  Progress goes to stderr, results to stdout.
+Exit codes: 0 on success, 1 when a verification suite finds a counterexample
+(reported as JSON on stdout), 2 on usage errors, and 141 (128 + SIGPIPE, as a
+shell reports a process a closed pipe ends) with nothing on stderr when the
+reader of stdout closes it early, as ``| head`` does.  Progress goes to
+stderr, results to stdout; closing stderr early stops only the progress.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .dyck import (H_REGIONS, KVec3, _bounce4, area3, area4, bounce3, enumerate_
                    enumerate_paths4, to_param3)
 from .involution import classify, verify_involution
 from .omega import GF_SECTIONS, check_gf_section
-from .polynomial import SparsePoly
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
@@ -36,17 +35,17 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
     return values
 
 
-def _emit_poly(poly: SparsePoly, fmt: str):
-    if fmt == "json":
-        print(json.dumps(poly.to_json_dict()))
-    elif fmt == "latex":
-        print(poly.latex())
-    else:
-        print(poly.text())
+def _to_devnull(stream) -> None:
+    # the reader of ``stream`` closed it: later writes, and the flush at
+    # exit, go to devnull instead of raising BrokenPipeError
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _progress(msg: str):
-    print(msg, file=sys.stderr, flush=True)
+    try:
+        print(msg, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)  # progress is optional: stop it, keep verifying
 
 
 def _fail(suite: str, counterexample: dict) -> int:
@@ -193,7 +192,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             raise ValueError("--k must be nonnegative")
         else:
             poly = catalan_poly_k4(args.k)
-        _emit_poly(poly, args.format)
+        print({"json": poly.to_json, "latex": poly.latex, "text": poly.text}[args.format]())
         return 0
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
@@ -207,9 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # so that a closed pipe fails here, not at exit
         return code
     except BrokenPipeError:
-        # the reader closed stdout early (``| head``); the flush at exit
-        # then writes to devnull, and nothing reaches stderr
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout early (``| head``); nothing reaches stderr
+        _to_devnull(sys.stdout)
         return 141
 
 

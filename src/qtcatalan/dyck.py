@@ -9,12 +9,12 @@ up-run and d after the second, with r2 = a - b and r3 = a - b + c - d for
 
 The statistics are area (sum of red ranks) and bounce, neither depending on
 the last vector component.  The region tables below, which omega's crude
-forms are built from, define the bounce.  :func:`_compile`, the package's one
-code generator, writes straight-line code from a first-match table of rows;
-the region tables are lowered into that form, each split's overlap check
-being guard cases read as rows, and compiled to the path classifiers, which
-give a path's bounce and its region's index in ``F_REGIONS``/``H_REGIONS``.
-The involution's case table is compiled the same way.
+forms are built from, define the bounce; :func:`_regions` numbers and labels
+their regions.  :func:`_compile`, the package's one code generator, writes
+straight-line code from a first-match table of rows; the region tables are
+lowered into that form, each split's overlap check being guard cases read as
+rows, and compiled to the path classifiers, which give a path's bounce and
+its region's number.  The involution's case table is compiled the same way.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-F_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2")
-H_REGIONS = ("P1C1", "P1C2", "P2C1", "P2C2", "P2C3", "P3C1", "P3C2", "P3C3")
+
+def _check_ints(name: str, *values) -> None:
+    # type(), not isinstance(): a bool is an int but not a number here
+    if not all(type(x) is int for x in values):
+        raise ValueError(f"{name} requires integers, got {values!r}")
 
 
 def ceil_div(a: int, z: int) -> int:
     """Mathematical ceiling of a/z for integers a and z >= 1, correct for negative a."""
-    if type(a) is not int or type(z) is not int:
-        raise ValueError(f"ceil_div requires integers, got {a!r} and {z!r}")
+    _check_ints("ceil_div", a, z)
     if z <= 0:
         raise ValueError(f"ceil_div requires a positive divisor, got {z}")
     return -((-a) // z)
@@ -56,8 +58,7 @@ def _case(cuts: list[Linear], i: int) -> list[Linear]:
 # A family's tables: the cuts between its parts; per part its summation
 # variables ("p" is dropped in cases without a ceiling), the cuts between
 # its cases and each case's (bounce, ceilings), a ceiling (z, A, p) being
-# p = ceil(A/z).  The regions of F_REGIONS and H_REGIONS are the cases in
-# table order.
+# p = ceil(A/z).  :func:`_regions` numbers and labels the cases as regions.
 
 _BOUNDS3 = [{"k1": 1, "r2": -1},            # r2 <= k1
             {"r2": 1, "k2": 1, "r3": -1}]   # r3 <= r2 + k2
@@ -74,8 +75,8 @@ _F_PARTS = (
 )
 
 # k^4: part 1 is written in b.  Parts 2 and 3 (b < 2k - 2a, b = 2s + r with
-# r = 0 and 1) are one table written in s and r; a path of theirs is in
-# region 2 + 3r + case, and omega rewrites the table for r = 0 and r = 1.
+# r = 0 and 1) are one table written in s and r, which omega rewrites for
+# r = 0 and r = 1.
 _H_PART_CUTS = [{"a": 2, "b": 1, "k": -2}]            # part 1: b >= 2k - 2a
 _CUTS4 = [{"a": 1, "s": 3, "c": 1, "k": -3, "r": 2},  # c >= 3k - a - 3s - 2r
           {"a": 3, "s": 3, "c": 1, "k": -3, "r": 2}]  # c >= 3k - 3a - 3s - 2r
@@ -91,6 +92,19 @@ _H_PARTS = (
       ({"a": 2, "s": 1, "k": 1, "p": 1, "r": 1}, [(2, _CUTS4[1], "p")]),
       ({"a": 3, "s": 2, "p": 1, "r": 2}, [(3, {"c": 1, "r": -1}, "p")])]),
 )
+
+
+def _regions(parts: Sequence[tuple]) -> list[tuple[str, int, int, int | None]]:
+    """A family's regions in index order, from its tables at each call, as (label,
+    part, case, r); a table in s is two parts, one per parity r of b (else r is None)."""
+    numbered = [(i, r) for i, (sum_vars, _, _) in enumerate(parts)
+                for r in ((0, 1) if "s" in sum_vars else (None,))]
+    return [(f"P{n + 1}C{j + 1}", i, j, r)
+            for n, (i, r) in enumerate(numbered) for j in range(len(parts[i][2]))]
+
+
+F_REGIONS = tuple(label for label, *_ in _regions(_F_PARTS))
+H_REGIONS = tuple(label for label, *_ in _regions(_H_PARTS))
 
 
 def _source(row: Linear) -> str:
@@ -204,18 +218,19 @@ def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tup
              ) -> tuple[list[tuple[list[Linear], object]], dict]:
     """A family's part and case tables as a :func:`_compile` table and its
     symbols.  Case j of part i has the rows ``_case(part_cuts, i) +
-    _case(cuts, j)`` and returns (region, bounce), each ceiling a ceil symbol
-    of its own; a table in s reads s = floor(b/2) and r = b mod 2, at region
-    first + j + n*r.  Ahead of a split's cases, a guard case per pair j,
-    m >= j + 2 raises where both hold, and a last case where none does."""
+    _case(cuts, j)`` and returns (region, bounce), the region as numbered by
+    :func:`_regions` and each ceiling a ceil symbol of its own; a table in s
+    reads s = floor(b/2) and r = b mod 2.  Ahead of a split's cases, a guard
+    case per pair j, m >= j + 2 raises where both hold, and a last one where
+    none does."""
     fields = ", ".join(f"{v}={{{v}}}" for v in args.split(", "))
     symbols = {"s": ("floor", {"b": 1}, 2), "r": ("mod", {"b": 1}, 2)}
     table: list[tuple[list[Linear], object]] = []
-    first = 0
+    number = {(i, j, r): x for x, (_, i, j, r) in enumerate(_regions(parts))}
     for i, (sum_vars, cuts, cases) in enumerate(parts):
         n = len(cases)
-        regions = [{"const": first + j, **({"r": n} if "s" in sum_vars else {})} for j in range(n)]
-        first += n * (1 + ("s" in sum_vars))
+        regions = [{"const": number[i, j, 0], "r": number[i, j, 1] - number[i, j, 0]}
+                   if "s" in sum_vars else {"const": number[i, j, None]} for j in range(n)]
         rows = [_case(part_cuts, i) + _case(cuts, j) for j in range(n)]
         table += [(rows[j] + rows[m],
                    f"bounce cases [{{{_source(regions[j])} + 1}}, {{{_source(regions[m])} + 1}}] "
@@ -229,15 +244,11 @@ def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tup
     return table + [([], f"no bounce case holds for {point}({fields})")], symbols
 
 
-def _classifier(name: str, args: str, point: str, part_cuts: list[Linear],
-                parts: Sequence[tuple]) -> Callable[..., tuple[int, int]]:
-    """Compile ``name(args)``, a path's (region, bounce), from a family's tables."""
-    return _compile(name, args, *_lowered(args, point, part_cuts, parts))
-
-
 # (region, bounce) of a path (r2, r3) for (k1, k2, k3), or (a, b, c) for k^4
-_bounce3 = _classifier("_bounce3", "k1, k2, r2, r3", "Path3", _F_PART_CUTS, _F_PARTS)
-_bounce4 = _classifier("_bounce4", "k, a, b, c", "Path4", _H_PART_CUTS, _H_PARTS)
+_bounce3 = _compile("_bounce3", "k1, k2, r2, r3",
+                    *_lowered("k1, k2, r2, r3", "Path3", _F_PART_CUTS, _F_PARTS))
+_bounce4 = _compile("_bounce4", "k, a, b, c",
+                    *_lowered("k, a, b, c", "Path4", _H_PART_CUTS, _H_PARTS))
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +369,7 @@ def bounce3(p: Path3) -> int:
 def _check_runs(name: str, a: int, c: int, b: int, d: int) -> None:
     """Raise ValueError naming ``name`` unless (b, d) are integer run
     parameters of a path for (a, c): all nonnegative, b <= a, d <= a - b + c."""
-    if not all(type(x) is int for x in (a, c, b, d)):
-        raise ValueError(f"{name} requires integers, got {(a, c, b, d)!r}")
+    _check_ints(name, a, c, b, d)
     if min(a, c, b, d, a - b, a - b + c - d) < 0:
         raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
 

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from . import dyck
-from .dyck import Linear, ParamPath3, _check_runs, _negated, _reversed, ceil_div
+from .dyck import Linear, ParamPath3, _check_ints, _check_runs, _negated, _reversed, ceil_div
 
 CASE_EXCHANGE = {
     "L11": "L11", "L22": "L22", "L12": "L21", "L21": "L12",
@@ -36,11 +36,13 @@ CASE_EXCHANGE = {
 
 def parity_x(a: int, c: int, b: int, d: int) -> int:
     """Indicator that a - b + c - d is odd."""
+    _check_ints("parity_x", a, c, b, d)
     return (a - b + c - d) & 1
 
 
 def parity_y(c: int, d: int) -> int:
     """Indicator that c + ceil(d/2) is odd."""
+    _check_ints("parity_y", c, d)
     return (c + ceil_div(d, 2)) & 1
 
 

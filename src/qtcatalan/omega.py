@@ -12,11 +12,11 @@ forms) by a multiplicity search that settles each eliminated variable at
 the last factor touching it, as in the last-factor step of MacMahon's
 partition analysis (Andrews, Paule and Riese; Xin).
 
-The crude generating functions are *generated* by :func:`build_crude_F`
-and :func:`build_crude_H` from the region tables of :mod:`qtcatalan.dyck`,
-whose path classifiers are generated from the same rows: one coefficient
-table per region, each column a geometric factor, as in Xin's fast
-algorithm.  The closed rational forms they eliminate to are transcribed in
+The crude generating functions are *generated* by one builder, which looks
+a region up in the region list of :mod:`qtcatalan.dyck` and writes its rows,
+those the path classifiers are generated from, as one coefficient table,
+each column a geometric factor, as in Xin's fast algorithm.  The closed
+rational forms they eliminate to are transcribed in
 ``data/closed_forms.json`` and loaded by :func:`closed_form`.
 """
 
@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from importlib import resources
 from itertools import product
 from operator import add
 from typing import Mapping, Sequence
 
-from .catalan import (F_REGIONS, GF3_REFINED_VARS, GF4_REFINED_VARS,
-                      H_REGIONS, gf_series3, gf_series4)
-from .dyck import (_BOUNDS3, _CUTS4, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS,
-                   Linear, _case)
+from .catalan import GF3_REFINED_VARS, GF4_REFINED_VARS, gf_series3, gf_series4
+from .dyck import (_BOUNDS3, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS, F_REGIONS,
+                   H_REGIONS, Linear, _case, _regions)
 from .polynomial import SparsePoly, VarTable
 
 MODE_NONNEG = "nonneg"
@@ -374,25 +373,29 @@ _DOMAIN4 = [{"k": 1, "a": -1},                        # a <= k
             {"k": 3, "a": -1, "b": -1, "c": -1}]      # c <= 3k - a - b
 
 
-def _crude(retained: Sequence[str], base: Mapping[str, Linear],
-           rows: list[Linear], part: tuple, case: int, form=dict) -> FactoredOmegaExpr:
-    """Crude expression of ``case`` of ``part`` within the part's ``rows``.
+def _crude(retained: Sequence[str], base: Mapping[str, Linear], domain: list[Linear],
+           part_cuts: list[Linear], parts: Sequence[tuple], region: str) -> FactoredOmegaExpr:
+    """Crude expression of a family's ``region``, found in :func:`_regions`.
 
-    The region is one coefficient table with a row per variable, in
-    variable order: the retained functionals (``base``, and the bounce as
-    "t"), the slack rows L >= 0 (l1.., ``nonneg``), then a row A - z*p per
-    ceiling p = ceil(A/z) (mu, or mu1.. for two; ``zero``).  ``form``
-    rewrites each row once; the default copies it as written.  Each
-    summation variable's column is a factor, the "const" column is the
-    base monomial, and the numerator runs each mu through range(z).
-    """
-    sum_vars, cuts, cases = part
+    The region is one coefficient table with a row per variable, in variable
+    order: the retained functionals (``base``, and the bounce as "t"), the
+    slack rows L >= 0 (l1.., ``nonneg``: ``domain``, the part's and the
+    case's), then a row A - z*p per ceiling p = ceil(A/z) (mu, or mu1.. for
+    two; ``zero``), a table in s rewritten at its parity r.  Each summation
+    variable's column is a factor, the "const" column is the base monomial,
+    and the numerator runs each mu through range(z)."""
+    found = {label: entry for label, *entry in _regions(parts)}
+    if region not in found:
+        raise ValueError(f"unknown region {region!r}; expected one of {tuple(found)}")
+    part, case, r = found[region]
+    sum_vars, cuts, cases = parts[part]
     bounce, ceilings = cases[case]
-    slack = rows + _case(cuts, case)
+    slack = domain + _case(part_cuts, part) + _case(cuts, case)
     lams = [f"l{i + 1}" for i in range(len(slack))]
     mus = [f"mu{i + 1}" if len(ceilings) > 1 else "mu" for i in range(len(ceilings))]
     functionals = {**base, "t": bounce}
-    table = [form(row) for row in [functionals[name] for name in retained] + slack
+    table = [row if r is None else _at_parity(row, r)
+             for row in [functionals[name] for name in retained] + slack
              + [{**a, p: a.get(p, 0) - z} for z, a, p in ceilings]]
     factors = [tuple(row.get(v, 0) for row in table)
                for v in sum_vars if v != "p" or ceilings]
@@ -404,25 +407,14 @@ def _crude(retained: Sequence[str], base: Mapping[str, Linear],
                              dict.fromkeys(lams, MODE_NONNEG) | dict.fromkeys(mus, MODE_ZERO))
 
 
-def _part_case(region: str, regions: tuple[str, ...]) -> tuple[int, int]:
-    if region not in regions:
-        raise ValueError(f"unknown region {region!r}; expected one of {regions}")
-    return int(region[1]) - 1, int(region[3]) - 1
-
-
 def build_crude_F(region: str) -> FactoredOmegaExpr:
     """Crude generating function for one length-3 bounce region."""
-    part, case = _part_case(region, F_REGIONS)
-    return _crude(GF3_REFINED_VARS, _BASE3, _BOUNDS3 + _case(_F_PART_CUTS, part),
-                  _F_PARTS[part], case)
+    return _crude(GF3_REFINED_VARS, _BASE3, _BOUNDS3, _F_PART_CUTS, _F_PARTS, region)
 
 
 def build_crude_H(region: str) -> FactoredOmegaExpr:
     """Crude generating function for one k^4 bounce region."""
-    part, case = _part_case(region, H_REGIONS)
-    half = min(part, 1)  # parts 2 and 3 fail the part cut and share a table
-    return _crude(GF4_REFINED_VARS, _BASE4, _DOMAIN4 + _case(_H_PART_CUTS, half),
-                  _H_PARTS[half], case, partial(_at_parity, r=part - 1) if part else dict)
+    return _crude(GF4_REFINED_VARS, _BASE4, _DOMAIN4, _H_PART_CUTS, _H_PARTS, region)
 
 
 # ----------------------------------------------------------------------

@@ -194,6 +194,18 @@ def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):
     assert doc["counterexample"] == {"k": [0, 0, 0]}
 
 
+def test_verify_symmetry4_reports_counterexample_with_exit_1(capsys, monkeypatch):
+    import qtcatalan.cli as cli_mod
+    from qtcatalan.polynomial import SparsePoly, VarTable
+
+    broken = SparsePoly(VarTable(("q", "t")), {(1, 0): 1})
+    monkeypatch.setattr(cli_mod, "catalan_poly_k4", lambda k: broken)
+    code, out, err = run(capsys, "verify", "--suite", "symmetry4", "--max", "1")
+    assert code == 1
+    assert out == '{"suite": "symmetry4", "status": "fail", "counterexample": {"k": 0}}\n'
+    assert err == "symmetry4: k=0\n"
+
+
 def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "poly4", "--k", "2", "--format", "json")
     _, out2, _ = run(capsys, "poly4", "--k", "2", "--format", "json")
@@ -262,3 +274,22 @@ def test_a_reader_closing_the_pipe_early_gets_exit_141_and_no_stderr(k, first_li
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("lines_read", [
+    # the reader takes the first progress line, then goes away
+    1,
+    # the reader is gone before the first line is written
+    0,
+])
+def test_a_reader_closing_stderr_early_stops_only_the_progress(lines_read):
+    env = dict(os.environ, PYTHONPATH=str(Path(qtcatalan.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "qtcatalan.cli", "verify", "--suite",
+                           "symmetry3", "--max", "6"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        for _ in range(lines_read):
+            assert proc.stderr.readline() == b"symmetry3: k1=0\n"
+        proc.stderr.close()
+        out = proc.stdout.read()
+        assert proc.wait(timeout=60) == 0
+    assert out == b'{"suite": "symmetry3", "status": "pass", "checked": 343}\n'

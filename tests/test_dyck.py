@@ -199,6 +199,8 @@ def test_enumerate_paths4_rejects_non_integers(k):
 
 
 def test_path4_validation_and_red_ranks():
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        Path4(-1, 0, 0, 0)
     with pytest.raises(ValueError):
         Path4(1, 2, 0, 0)
     with pytest.raises(ValueError):

@@ -18,6 +18,16 @@ def test_parity_indicators():
     assert parity_y(2, 3) == 0
 
 
+@pytest.mark.parametrize("fn, args", [
+    (parity_x, (1.5, 0, 0, 0)), (parity_x, (True, 1, 0, 0)), (parity_x, (1, 1, 1, "1")),
+    (parity_y, (True, 1)), (parity_y, (1, 0.5)), (parity_y, (1, False)),
+])
+def test_parities_reject_non_integers(fn, args):
+    # True once counted as 1 and 1.5 raised TypeError
+    with pytest.raises(ValueError, match=f"^{fn.__name__} requires integers"):
+        fn(*args)
+
+
 @pytest.mark.parametrize("c, d", [(1, 2), (0, 0), (2, 3)])
 def test_lemma4_pinned_values(c, d):
     assert lemma4_check(c, d)
@@ -152,6 +162,17 @@ def test_report_serialization():
     assert doc["a"] == 2 and doc["c"] == 3
     assert doc["failures"] == []
     assert "ok" in rep.describe()
+
+
+def test_report_with_failures_describes_and_serializes_them():
+    rep = InvolutionReport(1, 1, 5, [Failure(1, 0, "wrong_case_exchange"),
+                                     Failure(1, 1, "not_involution")])
+    assert rep.describe() == ("(a=1, c=1): 2 failures out of 5 paths\n"
+                              "  (b=1, d=0): wrong_case_exchange\n"
+                              "  (b=1, d=1): not_involution")
+    assert rep.to_json() == ('{"a": 1, "c": 1, "checked": 5, "failures": ['
+                             '{"b": 1, "d": 0, "reason": "wrong_case_exchange"}, '
+                             '{"b": 1, "d": 1, "reason": "not_involution"}]}')
 
 
 def test_verify_involution_reports_wrong_case_exchange(monkeypatch):

@@ -126,6 +126,20 @@ def test_expr_rejects_a_non_integer_exponent(numerator, factors, bad):
         FactoredOmegaExpr(VarTable(("x",)), numerator, factors)
 
 
+@pytest.mark.parametrize("numerator, factors, role", [
+    ([(1, (0, 0))], [(1,)], "numerator"),
+    ([(1, (0,))], [(1,), ()], "factor"),
+])
+def test_expr_rejects_a_monomial_of_the_wrong_length(numerator, factors, role):
+    with pytest.raises(ValueError, match=f"^{role} monomial length mismatch$"):
+        FactoredOmegaExpr(VarTable(("x",)), numerator, factors)
+
+
+def test_expr_rejects_an_unknown_elimination_mode():
+    with pytest.raises(ValueError, match="unknown elimination mode 'pos' for 'l'"):
+        FactoredOmegaExpr(VarTable(("x", "l")), [(1, (0, 0))], [(1, 0)], {"l": "pos"})
+
+
 def test_expr_stores_list_monomials_as_tuples():
     e = FactoredOmegaExpr(VarTable(("x",)), [(1, [0])], [[1]])
     assert e.numerator == [(1, (0,))] and type(e.numerator[0][1]) is tuple
@@ -268,9 +282,9 @@ def test_crude_h_equals_closed_and_enumeration(region):
 
 @pytest.mark.parametrize("cut, sections", [
     # the cut between the two cases of F part 1
-    (omega._F_PARTS[0][1][0], ("F P1C1", "F P1C2")),
+    (dyck._F_PARTS[0][1][0], ("F P1C1", "F P1C2")),
     # the k^4 case-1 cut, shared by parts 2 and 3
-    (omega._CUTS4[0], ("H P2C1", "H P2C2", "H P3C1", "H P3C2")),
+    (dyck._CUTS4[0], ("H P2C1", "H P2C2", "H P3C1", "H P3C2")),
 ], ids=("F_part1_cut", "H_parts23_cut1"))
 def test_shifted_shared_cut_fails_every_region_built_from_it(
         monkeypatch, cut, sections):
@@ -287,8 +301,8 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
     # has a crude form equal to its path sum, and only the closed form differs
     cut = dyck._CUTS4[0]
     monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
-    rebuilt = dyck._classifier("_bounce4", "k, a, b, c", "Path4", dyck._H_PART_CUTS,
-                               dyck._H_PARTS)
+    rebuilt = dyck._compile("_bounce4", "k, a, b, c", *dyck._lowered(
+        "k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS))
     monkeypatch.setattr(catalan, "_bounce4", rebuilt)
     catalan._classified4.cache_clear()
     try:

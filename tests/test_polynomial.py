@@ -188,6 +188,11 @@ def test_constructor_rejects_non_int_terms(bad):
         SparsePoly(QT, {(0, 1): 1, **bad})
 
 
+def test_constructor_rejects_exponent_tuples_of_the_wrong_length():
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (1,) has length 1, expected 2")):
+        SparsePoly(QT, {(1,): 1})
+
+
 @pytest.mark.parametrize("other", [True, 1.0])
 def test_arithmetic_rejects_operands_that_are_not_ints(other):
     p = mono(QT, {"q": 1})
