@@ -94,13 +94,14 @@ _H_PARTS = (
 )
 
 
-def _regions(parts: Sequence[tuple]) -> list[tuple[str, int, int, int | None]]:
-    """A family's regions in index order, from its tables at each call, as (label,
-    part, case, r); a table in s is two parts, one per parity r of b (else r is None)."""
+def _regions(parts: Sequence[tuple]) -> list[tuple[str, int, int, int, int | None]]:
+    """A family's regions in index order, from its tables at each call, as
+    (f"P{number}C{case + 1}", number, part, case, r); a table in s is two
+    numbered parts, one per parity r of b (else r is None)."""
     numbered = [(i, r) for i, (sum_vars, _, _) in enumerate(parts)
                 for r in ((0, 1) if "s" in sum_vars else (None,))]
-    return [(f"P{n + 1}C{j + 1}", i, j, r)
-            for n, (i, r) in enumerate(numbered) for j in range(len(parts[i][2]))]
+    return [(f"P{n}C{j + 1}", n, i, j, r)
+            for n, (i, r) in enumerate(numbered, 1) for j in range(len(parts[i][2]))]
 
 
 F_REGIONS = tuple(label for label, *_ in _regions(_F_PARTS))
@@ -226,7 +227,7 @@ def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tup
     fields = ", ".join(f"{v}={{{v}}}" for v in args.split(", "))
     symbols = {"s": ("floor", {"b": 1}, 2), "r": ("mod", {"b": 1}, 2)}
     table: list[tuple[list[Linear], object]] = []
-    number = {(i, j, r): x for x, (_, i, j, r) in enumerate(_regions(parts))}
+    number = {(i, j, r): x for x, (_, _, i, j, r) in enumerate(_regions(parts))}
     for i, (sum_vars, cuts, cases) in enumerate(parts):
         n = len(cases)
         regions = [{"const": number[i, j, 0], "r": number[i, j, 1] - number[i, j, 0]}
@@ -416,17 +417,20 @@ def enumerate_paths4(k: int) -> list[Path4]:
             for c in range(3 * k - a - b + 1)]
 
 
-_new, _setattr = object.__new__, object.__setattr__
+_new = object.__new__
+# the slots' member descriptors, bound once: a write through one skips the
+# frozen __setattr__ and the lookup of the attribute by name
+_set_k, _set_a, _set_b, _set_c = (Path4.__dict__[name].__set__ for name in "kabc")
 
 
 def _loop_path4(k: int, a: int, b: int, c: int) -> Path4:
     """The Path4 (k, a, b, c), built without ``__post_init__``: the loop
     bounds of :func:`enumerate_paths4` already make it valid."""
     p = _new(Path4)
-    _setattr(p, "k", k)
-    _setattr(p, "a", a)
-    _setattr(p, "b", b)
-    _setattr(p, "c", c)
+    _set_k(p, k)
+    _set_a(p, a)
+    _set_b(p, b)
+    _set_c(p, c)
     return p
 
 

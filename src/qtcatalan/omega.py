@@ -31,8 +31,8 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .catalan import GF3_REFINED_VARS, GF4_REFINED_VARS, gf_series3, gf_series4
-from .dyck import (_BOUNDS3, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS, F_REGIONS,
-                   H_REGIONS, Linear, _case, _regions)
+from .dyck import (_BOUNDS3, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS, Linear,
+                   _case, _regions)
 from .polynomial import SparsePoly, VarTable
 
 MODE_NONNEG = "nonneg"
@@ -384,7 +384,7 @@ def _crude(retained: Sequence[str], base: Mapping[str, Linear], domain: list[Lin
     two; ``zero``), a table in s rewritten at its parity r.  Each summation
     variable's column is a factor, the "const" column is the base monomial,
     and the numerator runs each mu through range(z)."""
-    found = {label: entry for label, *entry in _regions(parts)}
+    found = {label: entry for label, _, *entry in _regions(parts)}
     if region not in found:
         raise ValueError(f"unknown region {region!r}; expected one of {tuple(found)}")
     part, case, r = found[region]
@@ -451,17 +451,23 @@ def closed_form(form_id: str) -> FactoredOmegaExpr:
 # ----------------------------------------------------------------------
 # verification sections
 
-GF_SECTIONS = (tuple(f"F {r}" for r in F_REGIONS) + ("EQ1",)
-               + tuple(f"H {r}" for r in H_REGIONS) + ("EQ2",))
+def _form_ids(family: str, parts: Sequence[tuple]) -> dict[str, str]:
+    """Closed-form id of each gf section of a family's regions, from the
+    region's number and case in :func:`_regions`: "F P1C2" -> "F12".  The two
+    are written side by side while both have one digit, as every id in the
+    registry does, and apart with "_" once either has two: "H P12C3" -> "H12_3"."""
+    ids = {}
+    for label, number, _, case, _ in _regions(parts):
+        sep = "" if max(number, case + 1) < 10 else "_"
+        ids[f"{family} {label}"] = f"{family}{number}{sep}{case + 1}"
+    return ids
 
 
-def _form_id(section: str) -> str:
-    """Closed-form id of a gf section: "F P1C2" -> "F12", "EQ1" -> "EQ1"."""
-    family, _, region = section.partition(" ")
-    return family + region[1] + region[3] if region else family
-
-
-CLOSED_FORM_IDS = tuple(_form_id(section) for section in GF_SECTIONS)
+# gf section -> closed-form id; an identity section is its own id
+_SECTION_IDS = {**_form_ids("F", _F_PARTS), "EQ1": "EQ1",
+                **_form_ids("H", _H_PARTS), "EQ2": "EQ2"}
+GF_SECTIONS = tuple(_SECTION_IDS)
+CLOSED_FORM_IDS = tuple(_SECTION_IDS.values())
 
 
 def check_gf_section(section: str, max_order: int
@@ -484,7 +490,7 @@ def check_gf_section(section: str, max_order: int
     three = family in ("F", "EQ1")
     series = gf_series3 if three else gf_series4
     x_names = ("x1", "x2", "x3") if three else ("x",)
-    form = closed_form(_form_id(section))
+    form = closed_form(_SECTION_IDS[section])
     if region:
         oracle = series(max_order, region=region, refined=True)
         base = F_BASE_WEIGHTS if three else H_BASE_WEIGHTS

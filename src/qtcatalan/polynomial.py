@@ -12,10 +12,17 @@ Multiplication packs each exponent tuple into one integer (Kronecker
 substitution).  Digit i is the exponent of variable i minus its operand's
 minimum, in base hi - lo + 1, where [lo, hi] bounds that exponent in the
 product.  A digit of the sum of two keys stays below its base, so adding
-keys adds exponent vectors without carry: the term-pair loop does one
-integer addition per pair, and each product key is decoded once with
-``divmod``.  Python integers are unbounded, so this is exact for any
-exponent range, negative exponents included.
+keys adds exponent vectors without carry, and every product key lies below
+L, the product of the bases.  When L <= len(a) * len(b) the product is
+dense, and the variable is substituted too: each operand becomes one
+integer with coefficient c in byte slot ``key`` (slots wide enough for
+any product coefficient and its sign), the two integers are multiplied
+once, in C, and each nonzero slot of the result is one product term.
+Otherwise, for sparse operands such as x**(10**6) + 1, whose slot buffer
+would outgrow the pair count, a term-pair loop does one integer addition
+per pair.  Both decode each product key once with ``divmod``.  Python
+integers are unbounded, so this is exact for any exponent range and
+coefficient size, negative exponents included.
 
 Canonical term order is *descending* lexicographic on exponent tuples
 (leading term first).  Serialization, text and LaTeX output all follow it,
@@ -25,6 +32,8 @@ which keeps golden files byte-stable.
 from __future__ import annotations
 
 import json
+from math import prod
+from struct import iter_unpack
 from typing import Iterable, Iterator, Mapping
 
 
@@ -39,6 +48,48 @@ def _pack(terms: Mapping[tuple[int, ...], int], lows: list[int],
             key = key * base + e - lo
         packed.append((key, coeff))
     return packed
+
+
+def _unpack(keyed: Iterable[tuple[int, int]], lows: list[int],
+            bases: list[int]) -> dict[tuple[int, ...], int]:
+    """Inverse of :func:`_pack`: each (key, coeff) as exponent tuple -> coeff."""
+    digits = list(zip(lows, bases))[::-1]
+    res = {}
+    for key, coeff in keyed:
+        exps = []
+        for lo, base in digits:
+            key, d = divmod(key, base)
+            exps.append(lo + d)
+        res[tuple(exps[::-1])] = coeff
+    return res
+
+
+def _dense_product(pa: list[tuple[int, int]], pb: list[tuple[int, int]],
+                   bound: int, size: int) -> Iterator[tuple[int, int]]:
+    """The nonzero (key, coeff) of the product of two packed operands, whose
+    product keys lie below ``size`` and coefficients within +-``bound``.
+
+    Slot ``key`` of an integer is its nb bytes from byte nb * key on.  Each
+    operand becomes the integer with its coefficients in their slots, so the
+    product of the two holds the product's coefficients in its slots.  As
+    bytes a slot holds its value plus ``half``, which keeps every slot
+    nonnegative: an operand's slots are written as c + half and the half
+    slots taken off again, and the product's are added before it is read."""
+    nb = (bound.bit_length() + 8) // 8  # bound and a sign bit
+    half = 1 << (8 * nb - 1)
+    zero = half.to_bytes(nb, "little")
+
+    def substituted(packed: list[tuple[int, int]]) -> int:
+        count = max(key for key, _ in packed) + 1
+        slots = bytearray(zero * count)
+        for key, c in packed:
+            slots[key * nb:(key + 1) * nb] = (c + half).to_bytes(nb, "little")
+        return int.from_bytes(slots, "little") - int.from_bytes(zero * count, "little")
+
+    offset = substituted(pa) * substituted(pb) + int.from_bytes(zero * size, "little")
+    slots = iter_unpack(f"{nb}s", offset.to_bytes(size * nb, "little"))
+    return ((key, int.from_bytes(slot, "little") - half)
+            for key, (slot,) in enumerate(slots) if slot != zero)
 
 
 class VarTable:
@@ -178,21 +229,20 @@ class SparsePoly:
         bases = [ha + hb - la - lb + 1 for la, ha, lb, hb in cols]
         pa = _pack(a, [c[0] for c in cols], bases)
         pb = _pack(b, [c[2] for c in cols], bases)
-        out: dict[int, int] = {}
-        get = out.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                key = ka + kb
-                out[key] = get(key, 0) + ca * cb
-        digits = [(la + lb, base) for (la, _, lb, _), base in zip(cols, bases)][::-1]
-        res: dict[tuple[int, ...], int] = {}
-        for key, coeff in out.items():
-            exps = []
-            for lo, base in digits:
-                key, d = divmod(key, base)
-                exps.append(lo + d)
-            res[tuple(exps[::-1])] = coeff
-        return SparsePoly._owning(self.vars, res)
+        size = prod(bases)
+        if size <= len(a) * len(b):
+            bound = len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
+            keyed = _dense_product(pa, pb, bound, size)
+        else:
+            out: dict[int, int] = {}
+            get = out.get
+            for ka, ca in pa:
+                for kb, cb in pb:
+                    key = ka + kb
+                    out[key] = get(key, 0) + ca * cb
+            keyed = out.items()
+        lows = [la + lb for la, _, lb, _ in cols]
+        return SparsePoly._owning(self.vars, _unpack(keyed, lows, bases))
 
     __rmul__ = __mul__
 

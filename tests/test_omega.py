@@ -186,6 +186,16 @@ def test_closed_form_registry():
         closed_form("F13")
 
 
+def test_form_ids_keep_two_digit_numbers_apart():
+    # twelve numbered parts, the first with eleven cases: "P1C11" and
+    # "P11C1" would both read "K111" if the numbers were run together
+    parts = [(("a",), [], [None] * 11)] + [(("a",), [], [None])] * 11
+    ids = omega._form_ids("K", parts)
+    assert [ids[f"K {label}"] for label in ("P1C1", "P1C10", "P1C11", "P11C1", "P12C1")] == [
+        "K11", "K1_10", "K1_11", "K11_1", "K12_1"]
+    assert len(set(ids.values())) == len(ids) == 22
+
+
 def forcing_search(expr):
     """``expr`` with one more variable, eliminated ``nonneg``, that no factor
     touches and every numerator term carries at exponent 0: the same series,

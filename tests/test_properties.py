@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qtcatalan.omega import (FactoredOmegaExpr, SeriesDiff, WeightVector,  # noqa: E402
                              expand_truncated, series_equal, truncate_weighted)
+from qtcatalan import polynomial  # noqa: E402
+from qtcatalan.catalan import catalan_poly_k4  # noqa: E402
 from qtcatalan.polynomial import SparsePoly, VarTable  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -109,16 +111,22 @@ def reference_product(a, b):
 
 
 @st.composite
-def laurent_pairs(draw, max_size=8):
+def laurent_pairs(draw, max_size=8, low=-3, high=4, coeffs=st.integers(-3, 3)):
     """Two polynomials over the same table of 0 to 4 variables."""
     vars = VarTable(("q", "t", "x", "y")[:draw(st.integers(0, 4))])
-    terms = st.dictionaries(st.tuples(*[st.integers(-3, 4)] * len(vars)),
-                            st.integers(-3, 3), max_size=max_size)
+    terms = st.dictionaries(st.tuples(*[st.integers(low, high)] * len(vars)),
+                            coeffs, max_size=max_size)
     return SparsePoly(vars, draw(terms)), SparsePoly(vars, draw(terms))
 
 
+# pairs whose few exponents make most products dense (see the rule in
+# SparsePoly.__mul__), with coefficients past 2**64 of either sign
+dense_pairs = laurent_pairs(max_size=12, low=-1, high=1,
+                            coeffs=st.integers(-3, 3) | st.integers(-2**70, 2**70))
+
+
 @SETTINGS
-@given(laurent_pairs(), st.integers(-3, 3))
+@given(laurent_pairs() | dense_pairs, st.integers(-3, 3))
 def test_product_is_the_tuple_convolution(pair, k):
     a, b = pair
     zero = SparsePoly.zero(a.vars)
@@ -130,6 +138,54 @@ def test_product_is_the_tuple_convolution(pair, k):
     assert (a + b) * (a - b) == a * a - b * b
     const = {(0,) * len(a.vars): k} if k else {}
     assert (a * k).terms == (k * a).terms == reference_product(a.terms, const)
+
+
+QT = VarTable(("q", "t"))
+X = VarTable(("x",))
+BIG = 2**64 + 5
+M = 10**6
+
+
+@pytest.mark.parametrize("x, y, dense", [
+    # spans of 2 * 10**6 in q and in t: 4 * 10**12 slots for 9 term pairs
+    (SparsePoly(QT, {(M, 0): 1, (0, M): 2, (0, 0): 3}),
+     SparsePoly(QT, {(M, 0): BIG, (0, M): -BIG, (0, 0): 1}), False),
+    # one variable spanning 10**6 with two terms: the pair loop again
+    (SparsePoly(X, {(M,): 1, (0,): 1}), SparsePoly(X, {(M,): -1, (0,): 1}), False),
+    # the rule's edge, slots L = 4 and 5 for 2 * 2 term pairs
+    (SparsePoly(X, {(2,): 1, (0,): 1}), SparsePoly(X, {(1,): 1, (0,): 1}), True),
+    (SparsePoly(X, {(3,): 1, (0,): 1}), SparsePoly(X, {(1,): 1, (0,): 1}), False),
+    # 2**14 (1 + x)**2: its x coefficient is the bound 2 * 128 * 128 = 2**15,
+    # which takes a third byte for the sign
+    (SparsePoly(X, {(1,): 128, (0,): 128}), SparsePoly(X, {(1,): 128, (0,): 128}), True),
+    # BIG**2 (1 - q**2), past 2**128: the q terms -BIG**2 and +BIG**2 cancel
+    (SparsePoly(QT, {(0, 0): BIG, (1, 0): BIG}),
+     SparsePoly(QT, {(0, 0): BIG, (1, 0): -BIG}), True),
+    # Laurent exponents; the three constant terms cancel
+    (SparsePoly(QT, {(-1, 0): BIG, (0, -1): -BIG, (-1, -1): 7}),
+     SparsePoly(QT, {(1, 0): BIG, (0, 1): BIG - 7, (1, 1): -BIG}), True),
+    # no variables at all: one slot
+    (SparsePoly(VarTable(()), {(): -BIG}), SparsePoly(VarTable(()), {(): BIG}), True),
+], ids=("span_qt", "span_x", "edge_dense", "edge_pairs", "sign_byte", "big_cancel",
+        "laurent", "no_vars"))
+def test_product_takes_the_side_of_the_dense_rule(monkeypatch, x, y, dense):
+    calls = []
+    real = polynomial._dense_product
+    monkeypatch.setattr(polynomial, "_dense_product",
+                        lambda *args: calls.append(args) or real(*args))
+    for p, want in ((x * y, reference_product(x.terms, y.terms)),
+                    (y * x, reference_product(y.terms, x.terms))):
+        assert_clean(p)
+        assert p.terms == want
+    assert len(calls) == (2 if dense else 0)
+
+
+def test_k4_product_is_the_tuple_convolution():
+    # dense: 17,689 slots of 3 bytes for 1,213 * 851 term pairs; each operand
+    # is an integer of over 20,000 bytes, far past the Karatsuba cutoff of
+    # CPython's integer product (70 digits of 30 bits)
+    a, b = catalan_poly_k4(12), catalan_poly_k4(10)
+    assert (a * b).terms == (b * a).terms == reference_product(a.terms, b.terms)
 
 
 @SETTINGS
