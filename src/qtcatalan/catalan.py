@@ -99,20 +99,22 @@ def _check_args(region: str | None, allowed: tuple[str, ...], size: int = 0,
     return None if region is None else allowed.index(region)
 
 
-def _sweep3(k: KVec3, region: str | None) -> Iterator[tuple[int, ...]]:
-    """The rows of the paths for k in ``region`` (None: all)."""
-    _check_kvec3(k)
-    vector = [(k.k1, k.k2, k.k3)]
-    return _rows3(_paths3(vector), _classify3(_paths3(vector)), _check_args(region, F_REGIONS))
+def _sweep3(ks: Sequence[KVec3], region: str | None) -> Iterator[tuple[int, ...]]:
+    """The rows of the paths for each vector of ``ks`` in ``region`` (None: all)."""
+    for k in ks:
+        _check_kvec3(k)
+    vectors = [(k.k1, k.k2, k.k3) for k in ks]
+    return _rows3(_paths3(vectors), _classify3(_paths3(vectors)), _check_args(region, F_REGIONS))
 
 
 def catalan_poly3(k: KVec3) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k, over variables (q, t)."""
-    return _tally(QT_VARS, GF3_REFINED_VARS, _sweep3(k, None))
+    return _tally(QT_VARS, GF3_REFINED_VARS, _sweep3([k], None))
 
 
 def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
-    """Sum of catalan_poly3 over the distinct rearrangements of a partition.
+    """Sum of catalan_poly3 over the distinct rearrangements of a partition,
+    tallied in one sweep over all their paths.
 
     ``lam`` must be weakly decreasing with nonnegative parts; each distinct
     ordered vector is counted once.
@@ -122,10 +124,8 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
         raise ValueError(f"expected 3 parts, got {lam!r}")
     if not (lam[0] >= lam[1] >= lam[2] >= 0):
         raise ValueError(f"parts must be weakly decreasing and nonnegative: {lam!r}")
-    total = SparsePoly.zero(VarTable(QT_VARS))
-    for vec in sorted(set(permutations(lam))):
-        total = total + catalan_poly3(KVec3(*vec))
-    return total
+    vectors = [KVec3(*vec) for vec in sorted(set(permutations(lam)))]
+    return _tally(QT_VARS, GF3_REFINED_VARS, _sweep3(vectors, None))
 
 
 def catalan_poly_k4(k: int) -> SparsePoly:
@@ -141,7 +141,7 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
 
     With ``region`` set, only paths in that bounce region contribute.
     """
-    return _tally(REFINED3_VARS, GF3_REFINED_VARS, _sweep3(k, region))
+    return _tally(REFINED3_VARS, GF3_REFINED_VARS, _sweep3([k], region))
 
 
 def refined_poly4(k: int, region: str | None = None) -> SparsePoly:

@@ -157,9 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=("symmetry3", "symmetry4", "involution", "gf"))
-    p.add_argument("--max", type=int, default=8,
+    # no argparse defaults, so that _run sees which option was given
+    p.add_argument("--max", type=int,
                    help="range bound for symmetry/involution suites")
-    p.add_argument("--truncate", type=int, default=4,
+    p.add_argument("--truncate", type=int,
                    help="series order for the gf suite")
 
     p = sub.add_parser("table", help="per-path statistics table")
@@ -172,12 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         if args.command == "verify":
-            if args.max < 0 or args.truncate < 0:
+            # a suite reads one range option, with its default, and rejects the other
+            option, other, default = (("truncate", "max", 4) if args.suite == "gf"
+                                      else ("max", "truncate", 8))
+            given = vars(args)
+            if given[other] is not None:
+                raise ValueError(f"--suite {args.suite} reads --{option}, not --{other}")
+            bound = default if given[option] is None else given[option]
+            if bound < 0:
                 raise ValueError("--max and --truncate must be nonnegative")
-            if args.suite == "gf":
-                return _verify_gf(args.truncate)
             return {"symmetry3": _verify_symmetry3, "symmetry4": _verify_symmetry4,
-                    "involution": _verify_involution}[args.suite](args.max)
+                    "involution": _verify_involution, "gf": _verify_gf}[args.suite](bound)
         if args.command == "table":
             if args.what == "stats3":
                 _table_stats3(KVec3(*_parse_ints(args.k, 3, "--k")), args.format)

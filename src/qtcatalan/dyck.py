@@ -11,10 +11,10 @@ The statistics are area (sum of red ranks) and bounce, neither depending on
 the last vector component.  The region tables below, which omega's crude
 forms are built from, define the bounce; :func:`_regions` numbers and labels
 their regions.  :func:`_compile`, the package's one code generator, writes
-straight-line code from a first-match table of rows; the region tables are
-lowered into that form, each split's overlap check being guard cases read as
-rows, and compiled to the path classifiers, which give a path's bounce and
-its region's number.  The involution's case table is compiled the same way.
+straight-line code from a first-match table of rows over floor(row/z)
+symbols; the region tables are lowered into it, each split's overlap check
+being guard cases, and compiled to the path classifiers (a path's bounce
+and region number).  The involution's case table is compiled the same way.
 """
 
 from __future__ import annotations
@@ -129,12 +129,13 @@ _COMPLEMENT = {">=": "<", "<": ">="}
 
 
 def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
-             symbols: Mapping[str, tuple[str, Linear, int]]) -> Callable:
+             symbols: Mapping[str, tuple[Linear, int]]) -> Callable:
     """Compile ``name(args)`` from a first-match table as straight-line code.
 
     A case (rows, result) holds where its rows hold and no earlier case's
-    do.  Rows read the arguments and ``symbols``: name -> (kind, row, z) for
-    ceil(row/z), floor(row/z), row mod z, or row/z asserted exact.  A result
+    do.  Rows read the arguments and ``symbols``: name -> (row, z), z >= 1,
+    each symbol q being floor(row/z), which its defining rows
+    0 <= row - z*q <= z - 1 pin down; z = 1 names the row itself.  A result
     of rows, strings and tuples is returned; a message, an f-string over the
     arguments and its rows' symbols, is raised as AssertionError.  Cases
     sharing their next test share an ``if``, a test known to hold is left
@@ -164,20 +165,11 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
         for v in row:
             if v not in symbols or v in defined:
                 continue
-            kind, arg, z = symbols[v]
+            arg, z = symbols[v]
             define(arg, indent, defined)
             defined.add(v)
-            term = _source(arg) if len(arg) == 1 else f"({_source(arg)})"
-            if kind == "ceil":
-                ceil = _source({**arg, "const": arg.get("const", 0) + z - 1})
-                lines.append(f"{indent}{v} = ({ceil}) // {z}")
-            elif kind == "floor":
-                lines.append(f"{indent}{v} = {term} // {z}")
-            elif kind == "mod":
-                lines.append(f"{indent}{v} = {term} {'& 1' if z == 2 else f'% {z}'}")
-            else:
-                lines.extend([f"{indent}{v} = {_source(arg)}",
-                              f"{indent}assert {v} % {z} == 0", f"{indent}{v} //= {z}"])
+            term = _source(arg) if z == 1 or len(arg) == 1 else f"({_source(arg)})"
+            lines.append(f"{indent}{v} = {term}" + (f" // {z}" if z > 1 else ""))
 
     def source(value, indent: str, defined: set) -> str:
         if isinstance(value, str):
@@ -220,12 +212,12 @@ def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tup
     """A family's part and case tables as a :func:`_compile` table and its
     symbols.  Case j of part i has the rows ``_case(part_cuts, i) +
     _case(cuts, j)`` and returns (region, bounce), the region as numbered by
-    :func:`_regions` and each ceiling a ceil symbol of its own; a table in s
-    reads s = floor(b/2) and r = b mod 2.  Ahead of a split's cases, a guard
-    case per pair j, m >= j + 2 raises where both hold, and a last one where
-    none does."""
+    :func:`_regions` and each ceiling p = ceil(A/z) a symbol of its own,
+    floor((A + z - 1)/z); a table in s reads s = floor(b/2) and r = b - 2s.
+    Ahead of a split's cases, a guard case per pair j, m >= j + 2 raises where
+    both hold, and a last one where none does."""
     fields = ", ".join(f"{v}={{{v}}}" for v in args.split(", "))
-    symbols = {"s": ("floor", {"b": 1}, 2), "r": ("mod", {"b": 1}, 2)}
+    symbols = {"s": ({"b": 1}, 2), "r": ({"b": 1, "s": -2}, 1)}
     table: list[tuple[list[Linear], object]] = []
     number = {(i, j, r): x for x, (_, _, i, j, r) in enumerate(_regions(parts))}
     for i, (sum_vars, cuts, cases) in enumerate(parts):
@@ -239,7 +231,7 @@ def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tup
                   for j in range(n) for m in range(j + 2, n)]
         for j, (bounce, ceilings) in enumerate(cases):
             for z, a, p in ceilings:
-                symbols[f"{p}{len(table)}"] = ("ceil", a, z)
+                symbols[f"{p}{len(table)}"] = ({**a, "const": a.get("const", 0) + z - 1}, z)
                 bounce = {f"{p}{len(table)}" if v == p else v: c for v, c in bounce.items()}
             table.append((rows[j], (regions[j], bounce)))
     return table + [([], f"no bounce case holds for {point}({fields})")], symbols

@@ -5,12 +5,13 @@ b + d <= a + c.  Two maps cover the two regimes: ``phi`` for a <= c and
 ``psi`` for a > c.  Each map is split into labelled cases, and the table
 ``_CASES`` defines them: per case its predicate rows and its image, in the
 ``Linear`` format of dyck's region tables, over (a, b, c, d) and the
-derived symbols of ``_SYMBOLS`` (L12 = G22, L21 = G31 and L22 = G32 share
-their images).  dyck's one code generator compiles the table into
-``_case``, straight-line code, at import.  Applying the map sends a case to
-its partner case (or back to itself), squares to the identity, and swaps
-the two statistics.  ``verify_involution`` checks all of this exhaustively
-for one (a, c) pair and reports failures as data rather than raising.
+derived symbols of ``_SYMBOLS``, each floor(row/z) of a row (L12 = G22,
+L21 = G31 and L22 = G32 share their images).  dyck's one code generator
+compiles the table into ``_case``, straight-line code, at import.  Applying
+the map sends a case to its partner case (or back to itself), squares to
+the identity, and swaps the two statistics.  ``verify_involution`` checks
+all of this exhaustively for one (a, c) pair and reports failures as data
+rather than raising.
 
 Case labels and their exchange pattern:
 
@@ -60,16 +61,18 @@ def lemma4_check(c: int, d: int) -> bool:
 # ----------------------------------------------------------------------
 # the cases, as data
 
-# Derived symbols, in dyck._compile's format: h = ceil(d/2), f = d // 2, x
-# and y are parity_x and parity_y, and u and v are the exact halves the
-# images of L12/G22 and L22/G32 divide by.
+# Derived symbols, in dyck._compile's format name -> (row, z) for
+# floor(row/z): h = floor((d + 1)/2) = ceil(d/2), f = floor(d/2), and the
+# halves u = floor((a - b + c - d)/2) and v = floor((c + h)/2) the images of
+# L12/G22 and L22/G32 use; x and y (z = 1) are their remainders, parity_x
+# and parity_y.
 _SYMBOLS = {
-    "h": ("ceil", {"d": 1}, 2),
-    "f": ("floor", {"d": 1}, 2),
-    "x": ("mod", {"a": 1, "b": -1, "c": 1, "d": -1}, 2),
-    "y": ("mod", {"c": 1, "h": 1}, 2),
-    "u": ("exact", {"a": 1, "b": -1, "c": 1, "d": -1, "x": -1}, 2),
-    "v": ("exact", {"c": 1, "h": 1, "y": -1}, 2),
+    "h": ({"d": 1, "const": 1}, 2),
+    "f": ({"d": 1}, 2),
+    "u": ({"a": 1, "b": -1, "c": 1, "d": -1}, 2),
+    "v": ({"c": 1, "h": 1}, 2),
+    "x": ({"a": 1, "b": -1, "c": 1, "d": -1, "u": -2}, 1),
+    "y": ({"c": 1, "h": 1, "v": -2}, 1),
 }
 
 # The map split and the cuts between cases, each row meaning row >= 0

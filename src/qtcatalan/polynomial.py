@@ -217,6 +217,9 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly | int") -> "SparsePoly":
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other: int) -> "SparsePoly":
+        return -self + other
+
     def __mul__(self, other: "SparsePoly | int") -> "SparsePoly":
         other = self._coerce(other)
         a, b = self.terms, other.terms

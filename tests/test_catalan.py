@@ -1,9 +1,10 @@
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
 
+from qtcatalan import catalan
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, catalan_poly3,
                                catalan_poly_k4, catalan_poly_lambda3,
                                gf_series3, gf_series4, refined_poly3,
@@ -56,6 +57,20 @@ def test_catalan_poly_lambda3():
     assert p == expected
     assert p.is_symmetric("q", "t")
     assert catalan_poly_lambda3((3, 2, 1)).is_symmetric("q", "t")
+
+
+def test_catalan_poly_lambda3_tallies_every_rearrangement_in_one_sweep(monkeypatch):
+    sweeps = []
+    real = catalan._sweep3
+
+    def counting(ks, region):
+        sweeps.append(ks)
+        return real(ks, region)
+    monkeypatch.setattr(catalan, "_sweep3", counting)
+    vectors = sorted(set(permutations((3, 2, 1))))
+    p = catalan_poly_lambda3((3, 2, 1))
+    assert sweeps == [[KVec3(*v) for v in vectors]]
+    assert p == sum((catalan_poly3(KVec3(*v)) for v in vectors), SparsePoly.zero(QT))
 
 
 def test_catalan_poly_lambda3_input_validation():

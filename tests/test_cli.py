@@ -82,6 +82,15 @@ def test_unknown_flags_exit_2(capsys):
     assert run_usage_error(capsys, "verify", "--suite", "nope") == 2
 
 
+def test_verify_rejects_the_range_option_its_suite_does_not_read(capsys):
+    assert run_usage_error(capsys, "verify", "--suite", "gf", "--max", "12") == 2
+    assert run_usage_error(capsys, "verify", "--suite", "involution", "--truncate", "30") == 2
+    with pytest.raises(SystemExit):
+        main(["verify", "--suite", "gf", "--max", "3"])
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: --suite gf reads --truncate, not --max\n")
+
+
 def test_verify_symmetry3(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "symmetry3", "--max", "3")
     assert code == 0

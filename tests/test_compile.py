@@ -1,0 +1,105 @@
+"""The table compiler against its tables, on and off the valid paths.
+
+``interpret`` reads a ``dyck._compile`` table directly, with none of the
+compiler's sharing of tests or placement of symbols: the first case whose
+rows are all >= 0 gives the result, every symbol is floor(row / z) by
+Python's ``//``, and a string result is formatted over the point and its
+symbols and raised.  The compiled classifiers and the involution's
+``_case`` must agree with it at every point of a box that holds many
+points that are no path.
+"""
+
+from itertools import product
+
+import pytest
+
+from qtcatalan import dyck, involution
+
+BOX = list(product(range(-3, 6), repeat=4))
+
+
+class Point(dict):
+    """A point's arguments, and each symbol floor(row / z) once it is read."""
+
+    def __init__(self, names, point, symbols):
+        super().__init__(zip(names, point), const=1)
+        self.symbols = symbols
+
+    def value(self, row):
+        return sum(c * self[v] for v, c in row.items())
+
+    def __missing__(self, name):
+        row, z = self.symbols[name]
+        self[name] = quotient = self.value(row) // z
+        return quotient
+
+
+def interpret(args, cases, symbols):
+    """The function ``dyck._compile`` would build from the table, read row by row."""
+    names = args.split(", ")
+
+    def result(env, out):
+        if isinstance(out, str):
+            return out
+        if isinstance(out, tuple):
+            return tuple(result(env, x) for x in out)
+        return env.value(out)
+
+    def run(*point):
+        env = Point(names, point, symbols)
+        for rows, out in cases:
+            if all(env.value(row) >= 0 for row in rows):
+                if isinstance(out, str):
+                    raise AssertionError(eval("f" + repr(out), {}, env))
+                return result(env, out)
+        raise LookupError(f"no case holds at {point}")
+    return run
+
+
+def _case_table():
+    table = [(rows, (label, image)) for label, rows, image in involution._CASES]
+    no_case = "no involution case holds at (a, c, b, d) = ({a}, {c}, {b}, {d})"
+    return "a, c, b, d", table + [([], no_case)], involution._SYMBOLS
+
+
+TABLES = {
+    "_bounce3": (dyck._bounce3, lambda: ("k1, k2, r2, r3", *dyck._lowered(
+        "k1, k2, r2, r3", "Path3", dyck._F_PART_CUTS, dyck._F_PARTS))),
+    "_bounce4": (dyck._bounce4, lambda: ("k, a, b, c", *dyck._lowered(
+        "k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS))),
+    "_case": (involution._case, _case_table),
+}
+
+
+def _outcome(function, point):
+    try:
+        return function(*point)
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_compiled_function_agrees_with_its_table_on_a_box(name):
+    compiled, table = TABLES[name]
+    reference = interpret(*table())
+    outcomes = [_outcome(compiled, point) for point in BOX]
+    assert outcomes == [_outcome(reference, point) for point in BOX]
+    if name == "_bounce4":  # the box reaches the guard cases' errors
+        assert any(out[0] == "AssertionError" for out in outcomes)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_generated_code_only_floors(monkeypatch, name):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(dyck, "compile", spy, raising=False)
+    args, cases, symbols = TABLES[name][1]()
+    dyck._compile(name, args, cases, symbols)
+    assert all(z >= 1 for _, z in symbols.values())
+    (source,) = sources
+    assert " // " in source
+    for token in ("assert", "&", "%"):
+        assert token not in source, token

@@ -138,6 +138,9 @@ def test_product_is_the_tuple_convolution(pair, k):
     assert (a + b) * (a - b) == a * a - b * b
     const = {(0,) * len(a.vars): k} if k else {}
     assert (a * k).terms == (k * a).terms == reference_product(a.terms, const)
+    # an int on the left of a difference, as in a factor 1 - q
+    assert_clean(k - a)
+    assert (k - a).terms == ((-1) * a + k).terms == (-(a - k)).terms
 
 
 QT = VarTable(("q", "t"))
