@@ -10,9 +10,9 @@ named by the labels F_REGIONS and H_REGIONS of :mod:`qtcatalan.dyck`.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from itertools import permutations, starmap
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import compress, permutations, repeat, starmap, tee
+from operator import eq, itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
@@ -54,7 +54,9 @@ def _tally(names: Sequence[str], columns: Sequence[str],
 # (k, a, b, c), in the ranges of enumerate_paths3/4.  Its (region, bounce)
 # comes from _bounce3/4, or from the gf record below in the same order, and
 # its row is (area, bounce, *path), over GF3/GF4_REFINED_VARS; every
-# polynomial here tallies the columns of its own variables.
+# polynomial here tallies the columns of its own variables.  A region is one
+# filter for every caller: _in_region drops the other paths by compress over
+# the regions, read in step, before any row is built.
 
 
 def _paths3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, ...]]:
@@ -73,18 +75,33 @@ def _classify3(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
     return (_bounce3(k1, k2, r2, r3) for k1, k2, _, r2, r3 in paths)
 
 
-def _rows3(paths, classified, want: int | None) -> Iterator[tuple[int, ...]]:
+def _stream(paths: Iterable[tuple[int, ...]], classify, want: int | None) -> tuple:
+    # the paths, their regions and their bounces, read in step from one pass
+    # over the paths; no regions without a filter, whose unread tee would
+    # keep every (region, bounce) pair
+    paths, to_classify = tee(paths)
+    if want is None:
+        return paths, (), map(itemgetter(1), classify(to_classify))
+    regions, bounces = tee(classify(to_classify))
+    return paths, map(itemgetter(0), regions), map(itemgetter(1), bounces)
+
+
+def _in_region(paths, regions, bounces, want: int | None) -> Iterator[tuple]:
+    # (path, bounce) of each path whose region is want (None: every path)
+    pairs = zip(paths, bounces)
+    return pairs if want is None else compress(pairs, map(eq, regions, repeat(want)))
+
+
+def _rows3(paths, regions, bounces, want: int | None) -> Iterator[tuple[int, ...]]:
     # the area is r2 + r3, as in area3
-    for (k1, k2, k3, r2, r3), (i, bounce) in zip(paths, classified):
-        if want is None or i == want:
-            yield r2 + r3, bounce, k1, k2, k3, r2, r3
+    for (k1, k2, k3, r2, r3), bounce in _in_region(paths, regions, bounces, want):
+        yield r2 + r3, bounce, k1, k2, k3, r2, r3
 
 
-def _rows4(paths, classified, want: int | None) -> Iterator[tuple[int, ...]]:
+def _rows4(paths, regions, bounces, want: int | None) -> Iterator[tuple[int, ...]]:
     # the area is 6k - 3a - 2b - c, as in area4
-    for (k, a, b, c), (i, bounce) in zip(paths, classified):
-        if want is None or i == want:
-            yield 6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c
+    for (k, a, b, c), bounce in _in_region(paths, regions, bounces, want):
+        yield 6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c
 
 
 def _check_args(region: str | None, allowed: tuple[str, ...], size: int = 0,
@@ -103,8 +120,9 @@ def _sweep3(ks: Sequence[KVec3], region: str | None) -> Iterator[tuple[int, ...]
     """The rows of the paths for each vector of ``ks`` in ``region`` (None: all)."""
     for k in ks:
         _check_kvec3(k)
+    want = _check_args(region, F_REGIONS)
     vectors = [(k.k1, k.k2, k.k3) for k in ks]
-    return _rows3(_paths3(vectors), _classify3(_paths3(vectors)), _check_args(region, F_REGIONS))
+    return _rows3(*_stream(_paths3(vectors), _classify3, want), want)
 
 
 def catalan_poly3(k: KVec3) -> SparsePoly:
@@ -146,8 +164,9 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
 
 def refined_poly4(k: int, region: str | None = None) -> SparsePoly:
     """Refined sum q^area t^bounce y2^a y3^b y4^c over (q, t, y2, y3, y4)."""
-    return _tally(REFINED4_VARS, GF4_REFINED_VARS, _rows4(
-        _paths4([k]), starmap(_bounce4, _paths4([k])), _check_args(region, H_REGIONS, k)))
+    want = _check_args(region, H_REGIONS, k)
+    return _tally(REFINED4_VARS, GF4_REFINED_VARS,
+                  _rows4(*_stream(_paths4([k]), partial(starmap, _bounce4), want), want))
 
 
 def _gf_paths3(max_total: int) -> Iterator[tuple[int, ...]]:
@@ -162,7 +181,8 @@ def _gf_paths3(max_total: int) -> Iterator[tuple[int, ...]]:
 # classification per path, however many regions are tallied, and five bytes
 # kept per path: a byte for the region and a C unsigned int for the bounce,
 # read back through a memoryview (the array module would add an extension
-# module to every import).
+# module to every import).  A region's series reads the region bytes as
+# _in_region's selectors.
 _BOUNCE = Struct("I")
 
 
@@ -190,7 +210,7 @@ def gf_series3(max_total: int, region: str | None = None,
     times the (optionally refined, optionally region-filtered) path sum."""
     want = _check_args(region, F_REGIONS, max_total, refined)
     return _tally(GF3_REFINED_VARS if refined else GF3_VARS, GF3_REFINED_VARS,
-                  _rows3(_gf_paths3(max_total), zip(*_classified3(max_total)), want))
+                  _rows3(_gf_paths3(max_total), *_classified3(max_total), want))
 
 
 def gf_series4(max_k: int, region: str | None = None,
@@ -198,4 +218,4 @@ def gf_series4(max_k: int, region: str | None = None,
     """Generating series sum over k <= max_k of x^k times the path sum."""
     want = _check_args(region, H_REGIONS, max_k, refined)
     return _tally(GF4_REFINED_VARS if refined else GF4_VARS, GF4_REFINED_VARS,
-                  _rows4(_paths4(range(max_k + 1)), zip(*_classified4(max_k)), want))
+                  _rows4(_paths4(range(max_k + 1)), *_classified4(max_k), want))

@@ -167,10 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True, choices=("stats3", "stats4"))
     p.add_argument("--k", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    for p in sub.choices.values():
+        # _run reports its own usage errors, as argparse does, with the
+        # subcommand's usage line
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "verify":
             # a suite reads one range option, with its default, and rejects the other
@@ -201,14 +205,14 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         print({"json": poly.to_json, "latex": poly.latex, "text": poly.text}[args.format]())
         return 0
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2
+        args.usage_error(str(exc))  # exits 2
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _run(parser, args)
+        code = _run(args)
         sys.stdout.flush()  # so that a closed pipe fails here, not at exit
         return code
     except BrokenPipeError:

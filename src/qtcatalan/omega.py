@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from itertools import product
-from operator import add
+from operator import add, itemgetter, mul
 from typing import Mapping, Sequence
 
 from .catalan import GF3_REFINED_VARS, GF4_REFINED_VARS, gf_series3, gf_series4
@@ -125,7 +125,7 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     last factor touching an eliminated variable the multiplicity is forced
     (``zero``) or bounded (``nonneg``), so every branch it keeps satisfies
     that variable's mode; a variable no factor touches is checked on the
-    numerator term.
+    numerator term.  A leaf reads its key with one ``itemgetter`` call.
 
     Raises ValueError if any factor has nonpositive retained weight (the
     expansion would not terminate).
@@ -171,10 +171,14 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
 
     acc: dict[tuple[int, ...], int] = {}
     cur = [0] * n_all
+    # itemgetter returns a bare item for one index and takes no empty
+    # index list, so those keys are built as tuples
+    retained_of = (itemgetter(*ret_idx) if len(ret_idx) > 1
+                   else lambda cur: tuple(cur[i] for i in ret_idx))
 
     def rec(j: int, rem: int, sign: int):
         if j == nf:
-            key = tuple(cur[i] for i in ret_idx)
+            key = retained_of(cur)
             acc[key] = acc.get(key, 0) + sign
             return
         wt = fwt[j]
@@ -277,13 +281,16 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
     """Compare all terms of weighted degree <= wv.bound.
 
     On mismatch the witness is the first differing exponent tuple in
-    canonical (descending lexicographic) order.  Only differing terms are
-    weighed, so operands already within the bound are not truncated.
+    canonical (descending lexicographic) order.  Once the variable tables
+    and weights are checked, equal term dicts end the comparison; else only
+    differing terms are weighed, so operands within the bound go untruncated.
     """
     if p.vars != r.vars:
         raise ValueError(f"variable table mismatch: {p.vars!r} vs {r.vars!r}")
     w = wv.resolve(p.vars.names)
     pt, rt = p.terms, r.terms
+    if pt == rt:
+        return SeriesDiff(True)
     diffs = [key for key in pt.keys() | rt.keys() if pt.get(key, 0) != rt.get(key, 0)
              and sum(wi * e for wi, e in zip(w, key)) <= wv.bound]
     if not diffs:
@@ -300,16 +307,14 @@ def slice_weight_vector(oracle: SparsePoly, x_names: Sequence[str],
     ``oracle`` must contain every term with total x-degree <= ``max_x_total``
     of the series under test.  The non-x variables get the ``base`` weights;
     the x variables get M+1 where M is the largest base-weighted degree any
-    oracle term carries outside the x's (at least ``min_m``).  Terms with
-    total x-degree at most ``max_x_total`` then all fit under the bound,
-    while any term with larger x-degree exceeds it.
+    oracle term carries outside the x's (at least ``min_m``; the base weights
+    dotted with 0 at the x's).  Terms with total x-degree at most
+    ``max_x_total`` then all fit under the bound, while any term with larger
+    x-degree exceeds it.  M < 0 gives a negative bound: ValueError.
     """
     x_set = set(x_names)
-    non_x = [(i, base.get(n, 1)) for i, n in enumerate(oracle.vars.names)
-             if n not in x_set]
-    m = min_m
-    for exps in oracle.terms:
-        m = max(m, sum(w * exps[i] for i, w in non_x))
+    w = [0 if n in x_set else base.get(n, 1) for n in oracle.vars.names]
+    m = max(min_m, max((sum(map(mul, w, exps)) for exps in oracle.terms), default=min_m))
     weights = dict(base)
     for x in x_names:
         weights[x] = m + 1

@@ -23,6 +23,16 @@ def run_usage_error(capsys, *argv):
     return exc.value.code
 
 
+def usage_error_lines(capsys, *argv):
+    """Exit 2 and an empty stdout; returns the usage lines and the error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    *usage, error = err.splitlines()
+    return " ".join(" ".join(usage).split()), error
+
+
 def test_poly3_text(capsys):
     code, out, _ = run(capsys, "poly3", "--k", "1,1,1")
     assert code == 0
@@ -75,6 +85,14 @@ def test_malformed_k_exits_2(capsys):
     assert run_usage_error(capsys, "poly3", "--k", "1,1,x") == 2
     assert run_usage_error(capsys, "poly3", "--k", "1,1,-1") == 2
     assert run_usage_error(capsys, "poly4", "--k", "nope") == 2
+    # the CLI's own checks report through the subcommand's parser, as
+    # argparse's do, so the usage line names the subcommand's options
+    assert usage_error_lines(capsys, "poly3", "--k", "1,1") == (
+        "usage: qtcatalan poly3 [-h] --k K1,K2,K3 [--format {text,json,latex}]",
+        "qtcatalan poly3: error: --k needs 3 comma-separated integers, got '1,1'")
+    assert usage_error_lines(capsys, "poly4", "--k", "-1") == (
+        "usage: qtcatalan poly4 [-h] --k K [--format {text,json,latex}]",
+        "qtcatalan poly4: error: --k must be nonnegative")
 
 
 def test_unknown_flags_exit_2(capsys):
@@ -85,10 +103,10 @@ def test_unknown_flags_exit_2(capsys):
 def test_verify_rejects_the_range_option_its_suite_does_not_read(capsys):
     assert run_usage_error(capsys, "verify", "--suite", "gf", "--max", "12") == 2
     assert run_usage_error(capsys, "verify", "--suite", "involution", "--truncate", "30") == 2
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "gf", "--max", "3"])
-    out, err = capsys.readouterr()
-    assert out == "" and err.endswith("error: --suite gf reads --truncate, not --max\n")
+    assert usage_error_lines(capsys, "verify", "--suite", "gf", "--max", "3") == (
+        "usage: qtcatalan verify [-h] --suite {symmetry3,symmetry4,involution,gf}"
+        " [--max MAX] [--truncate TRUNCATE]",
+        "qtcatalan verify: error: --suite gf reads --truncate, not --max")
 
 
 def test_verify_symmetry3(capsys):

@@ -110,6 +110,35 @@ def test_weight_vector_rejects_non_integers():
         slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 2.5)
 
 
+def reference_slice_weight_vector(oracle, x_names, base, max_x_total, min_m=0):
+    """slice_weight_vector by its definition: M is the largest base-weighted
+    non-x degree of an oracle term, and at least min_m."""
+    m = min_m
+    for exps in oracle.terms:
+        m = max(m, sum(base.get(n, 1) * e for n, e in zip(oracle.vars.names, exps)
+                       if n not in x_names))
+    return WeightVector(max_x_total * (m + 1) + m, {**base, **dict.fromkeys(x_names, m + 1)})
+
+
+@pytest.mark.parametrize("section", omega.GF_SECTIONS)
+def test_slice_weight_vector_matches_its_definition(section):
+    family, _, region = section.partition(" ")
+    three = family in ("F", "EQ1")
+    x_names = X3 if three else ("x",)
+    base = (F_BASE_WEIGHTS if three else H_BASE_WEIGHTS) if region else {"q": 1, "t": 1}
+    oracle = (gf_series3 if three else gf_series4)(4, region=region or None,
+                                                    refined=bool(region))
+    empty = SparsePoly(oracle.vars, {})
+    for poly in (oracle, empty):
+        for min_m in (0, 3, slice_term_bound(closed_form(omega._SECTION_IDS[section]),
+                                             x_names, base, 4)):
+            assert (slice_weight_vector(poly, x_names, base, 4, min_m)
+                    == reference_slice_weight_vector(poly, x_names, base, 4, min_m))
+    # M = -1 on an empty oracle gives the bound -1
+    with pytest.raises(ValueError, match="nonnegative integer, got -1"):
+        slice_weight_vector(empty, x_names, base, 4, min_m=-1)
+
+
 def test_expr_rejects_a_non_integer_coefficient():
     # the series would carry float coefficients
     with pytest.raises(ValueError, match="coefficient 1.5 is not an integer"):
@@ -164,6 +193,9 @@ def test_series_equal_requires_same_vars():
     r = SparsePoly.one(VarTable(("t",)))
     with pytest.raises(ValueError, match="mismatch"):
         series_equal(p, r, WeightVector(1))
+    # equal terms are checked against the weight vector too
+    with pytest.raises(ValueError, match="unknown variables"):
+        series_equal(p, p, WeightVector(1, {"t": 1}))
 
 
 def test_series_equal_ignores_terms_beyond_bound():
@@ -447,7 +479,8 @@ def test_crude_expansion_matches_unpruned_reference(section):
 
 def random_expr(rng):
     """1-2 retained variables, 1-2 eliminated ones of each mode, elimination
-    coefficients in -3..3 and positive factor weights."""
+    coefficients in -3..3 and positive factor weights, the variables of the
+    table in a random order, so retained and eliminated ones interleave."""
     retained = [f"x{i}" for i in range(rng.randint(1, 2))]
     nonneg = [f"l{i}" for i in range(rng.randint(1, 2))]
     zero = [f"m{i}" for i in range(rng.randint(1, 2))]
@@ -461,14 +494,27 @@ def random_expr(rng):
                   + [rng.randint(-2, 2) for _ in nonneg + zero])
                  for _ in range(rng.randint(1, 3))]
     elim = {**dict.fromkeys(nonneg, "nonneg"), **dict.fromkeys(zero, "zero")}
-    return geometric(retained + nonneg + zero, factors, elim,
-                     [(c, tuple(m)) for c, m in numerator])
+    names = retained + nonneg + zero
+    order = rng.sample(range(len(names)), len(names))
+    return geometric([names[i] for i in order], [[f[i] for i in order] for f in factors],
+                     elim, [(c, tuple(m[i] for i in order)) for c, m in numerator])
 
 
 def test_random_expansions_match_unpruned_reference():
     rng = random.Random(20040058)
-    for _ in range(300):
-        expr = random_expr(rng)
+    exprs = [random_expr(rng) for _ in range(300)]
+    # nothing retained, so no factor has weight: every numerator term is
+    # kept or dropped whole, into the one key ()
+    exprs.append(geometric(("l", "m"), [], {"l": "nonneg", "m": "zero"},
+                           [(1, (0, 0)), (2, (1, 0)), (5, (-1, 0)), (3, (0, 1)), (4, (2, 0))]))
+    assert reference_expand(exprs[-1], WeightVector(2)) == {(): 7}
+    kinds = Counter()
+    for expr in exprs[:-1]:
+        eliminated = [n in expr.elim for n in expr.vars.names]
+        kinds["interleaved"] += eliminated != sorted(eliminated)
+        kinds["one retained"] += eliminated.count(False) == 1
+    assert min(kinds.values()) >= 50, kinds
+    for expr in exprs:
         wv = WeightVector(rng.randint(2, 8))
         assert expand_truncated(expr, wv).terms == reference_expand(expr, wv), expr
 
