@@ -1,18 +1,19 @@
 """q,t-polynomials assembled from path statistics.
 
 Every polynomial here is a sum of q^area t^bounce over plain-tuple paths,
-one sweep per family, optionally refined by extra variables recording the
-path parameters (y2, y3 for red ranks; y2, y3, y4 for k^4 run parameters)
-and optionally restricted to one region of the piecewise bounce formula,
-named by the labels F_REGIONS and H_REGIONS of :mod:`qtcatalan.dyck`.
+one row stream per family, optionally refined by extra variables recording
+the path parameters (y2, y3 for red ranks; y2, y3, y4 for k^4 run
+parameters) and optionally restricted to one region of the piecewise
+bounce formula, named by the labels F_REGIONS and H_REGIONS of
+:mod:`qtcatalan.dyck`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache, partial
-from itertools import compress, permutations, repeat, starmap, tee
-from operator import eq, itemgetter
+from collections import Counter, defaultdict
+from functools import lru_cache
+from itertools import chain, permutations
+from operator import itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
@@ -50,13 +51,13 @@ def _tally(names: Sequence[str], columns: Sequence[str],
     return SparsePoly._owning(VarTable(names), dict(terms))
 
 
-# One sweep per family, on plain tuples: a path is (k1, k2, k3, r2, r3) or
-# (k, a, b, c), in the ranges of enumerate_paths3/4.  Its (region, bounce)
-# comes from _bounce3/4, or from the gf record below in the same order, and
-# its row is (area, bounce, *path), over GF3/GF4_REFINED_VARS; every
-# polynomial here tallies the columns of its own variables.  A region is one
-# filter for every caller: _in_region drops the other paths by compress over
-# the regions, read in step, before any row is built.
+# One row stream per family, on plain tuples: a path is (k1, k2, k3, r2, r3)
+# or (k, a, b, c), in the ranges of enumerate_paths3/4.  _rows3/4 classify
+# each path as they meet it, by one _bounce3/4 call, and yield (region, row):
+# the region an index into F_REGIONS or H_REGIONS, the row (area, bounce,
+# *path) over GF3/GF4_REFINED_VARS.  Every polynomial here tallies the
+# columns of its own variables from the rows of its region, or of every
+# region, filtered from that one stream.
 
 
 def _paths3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, ...]]:
@@ -71,37 +72,23 @@ def _paths4(ks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
                     yield k, a, b, c
 
 
-def _classify3(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
-    return (_bounce3(k1, k2, r2, r3) for k1, k2, _, r2, r3 in paths)
-
-
-def _stream(paths: Iterable[tuple[int, ...]], classify, want: int | None) -> tuple:
-    # the paths, their regions and their bounces, read in step from one pass
-    # over the paths; no regions without a filter, whose unread tee would
-    # keep every (region, bounce) pair
-    paths, to_classify = tee(paths)
-    if want is None:
-        return paths, (), map(itemgetter(1), classify(to_classify))
-    regions, bounces = tee(classify(to_classify))
-    return paths, map(itemgetter(0), regions), map(itemgetter(1), bounces)
-
-
-def _in_region(paths, regions, bounces, want: int | None) -> Iterator[tuple]:
-    # (path, bounce) of each path whose region is want (None: every path)
-    pairs = zip(paths, bounces)
-    return pairs if want is None else compress(pairs, map(eq, regions, repeat(want)))
-
-
-def _rows3(paths, regions, bounces, want: int | None) -> Iterator[tuple[int, ...]]:
+def _rows3(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
     # the area is r2 + r3, as in area3
-    for (k1, k2, k3, r2, r3), bounce in _in_region(paths, regions, bounces, want):
-        yield r2 + r3, bounce, k1, k2, k3, r2, r3
+    for k1, k2, k3, r2, r3 in paths:
+        region, bounce = _bounce3(k1, k2, r2, r3)
+        yield region, (r2 + r3, bounce, k1, k2, k3, r2, r3)
 
 
-def _rows4(paths, regions, bounces, want: int | None) -> Iterator[tuple[int, ...]]:
+def _rows4(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
     # the area is 6k - 3a - 2b - c, as in area4
-    for (k, a, b, c), bounce in _in_region(paths, regions, bounces, want):
-        yield 6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c
+    for k, a, b, c in paths:
+        region, bounce = _bounce4(k, a, b, c)
+        yield region, (6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c)
+
+
+def _in_region(rows: Iterable[tuple[int, tuple]], want: int | None) -> Iterator[tuple]:
+    """The rows whose region is ``want`` (None: every row)."""
+    return (row for region, row in rows if want is None or region == want)
 
 
 def _check_args(region: str | None, allowed: tuple[str, ...], size: int = 0,
@@ -121,8 +108,7 @@ def _sweep3(ks: Sequence[KVec3], region: str | None) -> Iterator[tuple[int, ...]
     for k in ks:
         _check_kvec3(k)
     want = _check_args(region, F_REGIONS)
-    vectors = [(k.k1, k.k2, k.k3) for k in ks]
-    return _rows3(*_stream(_paths3(vectors), _classify3, want), want)
+    return _in_region(_rows3(_paths3([(k.k1, k.k2, k.k3) for k in ks])), want)
 
 
 def catalan_poly3(k: KVec3) -> SparsePoly:
@@ -134,12 +120,14 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
     """Sum of catalan_poly3 over the distinct rearrangements of a partition,
     tallied in one sweep over all their paths.
 
-    ``lam`` must be weakly decreasing with nonnegative parts; each distinct
+    ``lam`` must be weakly decreasing with nonnegative int parts; each distinct
     ordered vector is counted once.
     """
     lam = tuple(lam)
     if len(lam) != 3:
         raise ValueError(f"expected 3 parts, got {lam!r}")
+    if any(type(part) is not int for part in lam):
+        raise ValueError(f"parts must be integers: {lam!r}")
     if not (lam[0] >= lam[1] >= lam[2] >= 0):
         raise ValueError(f"parts must be weakly decreasing and nonnegative: {lam!r}")
     vectors = [KVec3(*vec) for vec in sorted(set(permutations(lam)))]
@@ -165,8 +153,7 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
 def refined_poly4(k: int, region: str | None = None) -> SparsePoly:
     """Refined sum q^area t^bounce y2^a y3^b y4^c over (q, t, y2, y3, y4)."""
     want = _check_args(region, H_REGIONS, k)
-    return _tally(REFINED4_VARS, GF4_REFINED_VARS,
-                  _rows4(*_stream(_paths4([k]), partial(starmap, _bounce4), want), want))
+    return _tally(REFINED4_VARS, GF4_REFINED_VARS, _in_region(_rows4(_paths4([k])), want))
 
 
 def _gf_paths3(max_total: int) -> Iterator[tuple[int, ...]]:
@@ -176,32 +163,30 @@ def _gf_paths3(max_total: int) -> Iterator[tuple[int, ...]]:
                    for k3 in range(max_total - k1 - k2 + 1))
 
 
-# Each path's region (an index into F_REGIONS or H_REGIONS) and bounce, in
-# the order of _gf_paths3 and _paths4, for the last order asked: one
-# classification per path, however many regions are tallied, and five bytes
-# kept per path: a byte for the region and a C unsigned int for the bounce,
-# read back through a memoryview (the array module would add an extension
-# module to every import).  A region's series reads the region bytes as
-# _in_region's selectors.
-_BOUNCE = Struct("I")
-
-
-def _record(classified: Iterable[tuple[int, int]]) -> tuple[bytes, memoryview]:
-    regions, bounces = bytearray(), bytearray()
-    for region, bounce in classified:
-        regions.append(region)
-        bounces += _BOUNCE.pack(bounce)
-    return bytes(regions), memoryview(bounces).toreadonly().cast("I")
+# The rows of the last gf order asked, in the order of _gf_paths3 or
+# _paths4, kept per region: one enumeration and one classification per path
+# and order, however many regions are tallied.  A region's rows are packed
+# as C unsigned ints, four bytes per column, and read back through a
+# read-only memoryview (the array module would add an extension module to
+# every import), so the cache holds no tuple or int object per path.
 
 
 @lru_cache(maxsize=1)
-def _classified3(max_total: int) -> tuple[bytes, memoryview]:
-    return _record(_classify3(_gf_paths3(max_total)))
+def _gf_rows(three: bool, order: int) -> dict[int, memoryview]:
+    """Per region number, the packed rows of the length-3 paths with
+    k1 + k2 + k3 <= order (``three``) or of the k^4 paths with k <= order."""
+    rows = _rows3(_gf_paths3(order)) if three else _rows4(_paths4(range(order + 1)))
+    pack, packed = Struct("7I" if three else "6I").pack, defaultdict(bytearray)
+    for region, row in rows:
+        packed[region] += pack(*row)
+    return {region: memoryview(b).toreadonly().cast("I") for region, b in packed.items()}
 
 
-@lru_cache(maxsize=1)
-def _classified4(max_k: int) -> tuple[bytes, memoryview]:
-    return _record(starmap(_bounce4, _paths4(range(max_k + 1))))
+def _gf_tally(names: Sequence[str], columns: Sequence[str],
+              views: dict[int, memoryview], want: int | None) -> SparsePoly:
+    chosen = views.values() if want is None else [views.get(want, ())]
+    return _tally(names, columns, chain.from_iterable(
+        zip(*[iter(view)] * len(columns)) for view in chosen))
 
 
 def gf_series3(max_total: int, region: str | None = None,
@@ -209,13 +194,13 @@ def gf_series3(max_total: int, region: str | None = None,
     """Generating series sum over k1+k2+k3 <= max_total of x1^k1 x2^k2 x3^k3
     times the (optionally refined, optionally region-filtered) path sum."""
     want = _check_args(region, F_REGIONS, max_total, refined)
-    return _tally(GF3_REFINED_VARS if refined else GF3_VARS, GF3_REFINED_VARS,
-                  _rows3(_gf_paths3(max_total), *_classified3(max_total), want))
+    return _gf_tally(GF3_REFINED_VARS if refined else GF3_VARS, GF3_REFINED_VARS,
+                     _gf_rows(True, max_total), want)
 
 
 def gf_series4(max_k: int, region: str | None = None,
                refined: bool = False) -> SparsePoly:
     """Generating series sum over k <= max_k of x^k times the path sum."""
     want = _check_args(region, H_REGIONS, max_k, refined)
-    return _tally(GF4_REFINED_VARS if refined else GF4_VARS, GF4_REFINED_VARS,
-                  _rows4(_paths4(range(max_k + 1)), *_classified4(max_k), want))
+    return _gf_tally(GF4_REFINED_VARS if refined else GF4_VARS, GF4_REFINED_VARS,
+                     _gf_rows(False, max_k), want)

@@ -57,6 +57,8 @@ class WeightVector:
     def __post_init__(self):
         if type(self.bound) is not int or self.bound < 0:
             raise ValueError(f"bound must be a nonnegative integer, got {self.bound!r}")
+        if self.weights is not None and not isinstance(self.weights, Mapping):
+            raise ValueError(f"weights must be a mapping of names, got {self.weights!r}")
         if self.weights:
             bad = {n: w for n, w in self.weights.items() if type(w) is not int or w < 0}
             if bad:

@@ -80,6 +80,10 @@ def test_catalan_poly_lambda3_input_validation():
         catalan_poly_lambda3((2, 1))
     with pytest.raises(ValueError):
         catalan_poly_lambda3((2, 1, -1))
+    # parts that are not ints, bools included, before they are compared
+    for lam in (("c", "b", "a"), (2, 1, 0.0), (True, True, False), (2, None, 0)):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            catalan_poly_lambda3(lam)
 
 
 def test_catalan_poly_k4():

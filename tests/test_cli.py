@@ -183,6 +183,8 @@ def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
     import qtcatalan.catalan as catalan_mod
 
     calls = {3: 0, 4: 0}
+    yielded = {3: 0, 4: 0}
+    cached = {}
 
     def counting(family, real):
         def wrapper(*args):
@@ -190,22 +192,39 @@ def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
             return real(*args)
         return wrapper
 
+    def yielding(family, real):
+        def wrapper(*args):
+            for path in real(*args):
+                yielded[family] += 1
+                yield path
+        return wrapper
+
+    def keeping(three, order):
+        cached[three, order] = views = real_rows(three, order)
+        return views
+
+    real_rows = catalan_mod._gf_rows
     monkeypatch.setattr(catalan_mod, "_bounce3", counting(3, catalan_mod._bounce3))
     monkeypatch.setattr(catalan_mod, "_bounce4", counting(4, catalan_mod._bounce4))
-    for classified in (catalan_mod._classified3, catalan_mod._classified4):
-        classified.cache_clear()
+    monkeypatch.setattr(catalan_mod, "_gf_paths3", yielding(3, catalan_mod._gf_paths3))
+    monkeypatch.setattr(catalan_mod, "_paths4", yielding(4, catalan_mod._paths4))
+    monkeypatch.setattr(catalan_mod, "_gf_rows", keeping)
+    real_rows.cache_clear()
     code, out, _ = run(capsys, "verify", "--suite", "gf", "--truncate", "8")
     assert code == 0
     assert out == '{"suite": "gf", "status": "pass", "checked": 10528}\n'
-    # one classification per path, however many sections read it: 2,079
-    # paths with k1 + k2 + k3 <= 8 and 4,845 k^4 paths with k <= 8
+    # one enumeration and one classification per path, however many
+    # sections read it: 2,079 paths with k1 + k2 + k3 <= 8 and 4,845 k^4
+    # paths with k <= 8
+    assert yielded == {3: 2079, 4: 4845}
     assert calls == {3: 2079, 4: 4845}
-    # the cache keeps five bytes per path, not a term dict per region
-    for classified, paths in ((catalan_mod._classified3, 2079),
-                              (catalan_mod._classified4, 4845)):
-        regions, bounces = classified(8)
-        assert (type(regions), len(regions)) == (bytes, paths)
-        assert (type(bounces), len(bounces), bounces.nbytes) == (memoryview, paths, 4 * paths)
+    # the cache keeps each row packed, four bytes per column: seven columns
+    # per length-3 path and six per k^4 path, not a tuple per path
+    assert set(cached) == {(True, 8), (False, 8)}
+    for key, width, paths in (((True, 8), 7, 2079), ((False, 8), 6, 4845)):
+        views = cached[key].values()
+        assert all(type(v) is memoryview and v.readonly and v.format == "I" for v in views)
+        assert sum(v.nbytes for v in views) == 4 * width * paths
 
 
 def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):

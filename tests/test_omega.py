@@ -105,6 +105,9 @@ def test_weight_vector_rejects_non_integers():
             WeightVector(bad)
     with pytest.raises(ValueError, match="nonnegative integers"):
         WeightVector(3, {"q": 1.5})
+    for bad in ([1, 2], [], ("q", 1), "q"):
+        with pytest.raises(ValueError, match="mapping"):
+            WeightVector(3, bad)
     oracle = gf_series3(1)
     with pytest.raises(ValueError, match="nonnegative integer"):
         slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 2.5)
@@ -346,7 +349,7 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
     rebuilt = dyck._compile("_bounce4", "k, a, b, c", *dyck._lowered(
         "k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS))
     monkeypatch.setattr(catalan, "_bounce4", rebuilt)
-    catalan._classified4.cache_clear()
+    catalan._gf_rows.cache_clear()
     try:
         for region in ("P2C1", "P2C2", "P3C1", "P3C2"):
             oracle = gf_series4(2, region=region, refined=True)
@@ -356,7 +359,7 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
             assert expand_truncated(build_crude_H(region), wv) == oracle, region
             assert not series_equal(expand_truncated(form, wv), oracle, wv).equal, region
     finally:
-        catalan._classified4.cache_clear()
+        catalan._gf_rows.cache_clear()
 
 
 def test_eq2_matches_enumeration_small():
