@@ -1,11 +1,11 @@
 """q,t-polynomials assembled from path statistics.
 
 Every polynomial here is a sum of q^area t^bounce over plain-tuple paths,
-one row stream per family, optionally refined by extra variables recording
-the path parameters (y2, y3 for red ranks; y2, y3, y4 for k^4 run
-parameters) and optionally restricted to one region of the piecewise
-bounce formula, named by the labels F_REGIONS and H_REGIONS of
-:mod:`qtcatalan.dyck`.
+tallied from the rows of :mod:`qtcatalan.dyck`'s row stream of the family,
+optionally refined by extra variables recording the path parameters (y2, y3
+for red ranks; y2, y3, y4 for k^4 run parameters) and optionally restricted
+to one region of the piecewise bounce formula, named by the labels F_REGIONS
+and H_REGIONS of :mod:`qtcatalan.dyck`.
 """
 
 from __future__ import annotations
@@ -17,17 +17,18 @@ from operator import itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
-from .dyck import (F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3, _bounce4,
-                   _check_kvec3, _ranks3, area4, bounce4, enumerate_paths4)
+from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3,
+                   _bounce4, _check_kvec3, _paths3, _paths4, _rows3, _rows4, area4, bounce4,
+                   enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
 REFINED3_VARS = ("q", "t", "y2", "y3")
 REFINED4_VARS = ("q", "t", "y2", "y3", "y4")
 GF3_VARS = ("q", "t", "x1", "x2", "x3")
-GF3_REFINED_VARS = ("q", "t", "x1", "x2", "x3", "y2", "y3")
+GF3_REFINED_VARS = tuple(_ROW3)
 GF4_VARS = ("q", "t", "x")
-GF4_REFINED_VARS = ("q", "t", "x", "y2", "y3", "y4")
+GF4_REFINED_VARS = tuple(_ROW4)
 
 
 def region_of_path3(p: Path3) -> str:
@@ -49,41 +50,6 @@ def _tally(names: Sequence[str], columns: Sequence[str],
     if terms and min(min(exps) for exps in terms) < 0:
         raise AssertionError("negative exponent in a path polynomial")
     return SparsePoly._owning(VarTable(names), dict(terms))
-
-
-# One row stream per family, on plain tuples: a path is (k1, k2, k3, r2, r3)
-# or (k, a, b, c), in the ranges of enumerate_paths3/4.  _rows3/4 classify
-# each path as they meet it, by one _bounce3/4 call, and yield (region, row):
-# the region an index into F_REGIONS or H_REGIONS, the row (area, bounce,
-# *path) over GF3/GF4_REFINED_VARS.  Every polynomial here tallies the
-# columns of its own variables from the rows of its region, or of every
-# region, filtered from that one stream.
-
-
-def _paths3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, ...]]:
-    return ((k1, k2, k3, r2, r3) for k1, k2, k3 in vectors for r2, r3 in _ranks3(k1, k2))
-
-
-def _paths4(ks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-    for k in ks:
-        for a in range(k + 1):
-            for b in range(2 * k - a + 1):
-                for c in range(3 * k - a - b + 1):
-                    yield k, a, b, c
-
-
-def _rows3(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    # the area is r2 + r3, as in area3
-    for k1, k2, k3, r2, r3 in paths:
-        region, bounce = _bounce3(k1, k2, r2, r3)
-        yield region, (r2 + r3, bounce, k1, k2, k3, r2, r3)
-
-
-def _rows4(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    # the area is 6k - 3a - 2b - c, as in area4
-    for k, a, b, c in paths:
-        region, bounce = _bounce4(k, a, b, c)
-        yield region, (6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c)
 
 
 def _in_region(rows: Iterable[tuple[int, tuple]], want: int | None) -> Iterator[tuple]:

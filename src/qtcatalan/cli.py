@@ -16,8 +16,7 @@ import os
 import sys
 
 from .catalan import catalan_poly3, catalan_poly_k4, catalan_poly_lambda3
-from .dyck import (H_REGIONS, KVec3, _bounce4, area3, area4, bounce3, enumerate_paths3,
-                   enumerate_paths4, to_param3)
+from .dyck import H_REGIONS, KVec3, _paths4, _rows4, area3, bounce3, enumerate_paths3, to_param3
 from .involution import classify, verify_involution
 from .omega import GF_SECTIONS, check_gf_section
 
@@ -116,11 +115,9 @@ def _table_stats3(k: KVec3, fmt: str):
 
 
 def _table_stats4(k: int, fmt: str):
-    rows = []
-    for p in enumerate_paths4(k):
-        region, bounce = _bounce4(k, p.a, p.b, p.c)
-        rows.append({"a": p.a, "b": p.b, "c": p.c, "area": area4(p),
-                     "bounce": bounce, "case": H_REGIONS[region]})
+    # the rows the k^4 polynomials sum
+    rows = [{"a": a, "b": b, "c": c, "area": area, "bounce": bounce, "case": H_REGIONS[region]}
+            for region, (area, bounce, _, a, b, c) in _rows4(_paths4([k]))]
     _emit_table(rows, ("a", "b", "c", "area", "bounce", "case"), fmt)
 
 

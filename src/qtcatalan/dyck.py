@@ -8,13 +8,15 @@ up-run and d after the second, with r2 = a - b and r3 = a - b + c - d for
 (a, b, c) with 0 <= a <= k, 0 <= b <= 2k - a, 0 <= c <= 3k - a - b.
 
 The statistics are area (sum of red ranks) and bounce, neither depending on
-the last vector component.  The region tables below, which omega's crude
-forms are built from, define the bounce; :func:`_regions` numbers and labels
+the last vector component.  Each family's path model, which omega's crude
+forms are built from, is here: its domain rows, its row table, and its
+region tables, which define the bounce; :func:`_regions` numbers and labels
 their regions.  :func:`_compile`, the package's one code generator, writes
 straight-line code from a first-match table of rows over floor(row/z)
 symbols; the region tables are lowered into it, each split's overlap check
 being guard cases, and compiled to the path classifiers (a path's bounce
-and region number).  The involution's case table is compiled the same way.
+and region number), which the row streams call once per path.  The
+involution's case table is compiled the same way.
 """
 
 from __future__ import annotations
@@ -55,14 +57,20 @@ def _case(cuts: list[Linear], i: int) -> list[Linear]:
     return cuts[i:i + 1] + ([_negated(cuts[i - 1])] if i else [])
 
 
-# A family's tables: the cuts between its parts; per part its summation
-# variables ("p" is dropped in cases without a ceiling), the cuts between
-# its cases and each case's (bounce, ceilings), a ceiling (z, A, p) being
-# p = ceil(A/z).  :func:`_regions` numbers and labels the cases as regions.
+# A family's path model: its domain rows, a path being a nonnegative integer
+# point where each row is >= 0, and its row table, the functionals of a
+# path's row keyed in the order of its refined variables, the bounce "t"
+# (None) being the classifier's.  Its region tables: the cuts between its
+# parts; per part its summation variables ("p" is dropped in cases without
+# a ceiling), the cuts between its cases and each case's (bounce,
+# ceilings), a ceiling (z, A, p) being p = ceil(A/z).  :func:`_regions`
+# numbers and labels the cases as regions.
 
-_BOUNDS3 = [{"k1": 1, "r2": -1},            # r2 <= k1
+_DOMAIN3 = [{"k1": 1, "r2": -1},            # r2 <= k1
             {"r2": 1, "k2": 1, "r3": -1}]   # r3 <= r2 + k2
-_CEIL3 = [(2, _BOUNDS3[1], "p")]            # p = ceil((r2 + k2 - r3)/2)
+_ROW3 = {"q": {"r2": 1, "r3": 1}, "t": None, "x1": {"k1": 1}, "x2": {"k2": 1},
+         "x3": {"k3": 1}, "y2": {"r2": 1}, "y3": {"r3": 1}}
+_CEIL3 = [(2, _DOMAIN3[1], "p")]            # p = ceil((r2 + k2 - r3)/2)
 _F_CASE2 = ({"k1": 2, "r2": -2, "p": 1}, _CEIL3)    # case 2 of both parts
 _F_PART_CUTS = [{"r2": 1, "k2": -1, "const": -1}]   # part 1: r2 > k2
 _F_PARTS = (
@@ -74,9 +82,14 @@ _F_PARTS = (
      [({"k1": 2, "r2": -2, "k2": 1, "r3": -1}, []), _F_CASE2]),
 )
 
+_DOMAIN4 = [{"k": 1, "a": -1},                        # a <= k
+            {"k": 2, "a": -1, "b": -1},               # b <= 2k - a
+            {"k": 3, "a": -1, "b": -1, "c": -1}]      # c <= 3k - a - b
+_ROW4 = {"q": {"k": 6, "a": -3, "b": -2, "c": -1}, "t": None, "x": {"k": 1},
+         "y2": {"a": 1}, "y3": {"b": 1}, "y4": {"c": 1}}
 # k^4: part 1 is written in b.  Parts 2 and 3 (b < 2k - 2a, b = 2s + r with
-# r = 0 and 1) are one table written in s and r, which omega rewrites for
-# r = 0 and r = 1.
+# r = 0 and 1) are one table written in s and r, which :func:`_at_parity`
+# rewrites for r = 0 and r = 1.
 _H_PART_CUTS = [{"a": 2, "b": 1, "k": -2}]            # part 1: b >= 2k - 2a
 _CUTS4 = [{"a": 1, "s": 3, "c": 1, "k": -3, "r": 2},  # c >= 3k - a - 3s - 2r
           {"a": 3, "s": 3, "c": 1, "k": -3, "r": 2}]  # c >= 3k - 3a - 3s - 2r
@@ -106,6 +119,14 @@ def _regions(parts: Sequence[tuple]) -> list[tuple[str, int, int, int, int | Non
 
 F_REGIONS = tuple(label for label, *_ in _regions(_F_PARTS))
 H_REGIONS = tuple(label for label, *_ in _regions(_H_PARTS))
+
+
+def _at_parity(row: Linear, r: int) -> Linear:
+    """``row`` over s, with b = 2s + r and the parity symbol "r" set to r."""
+    out = {v: c for v, c in row.items() if v not in ("b", "r")}
+    out["s"] = out.get("s", 0) + 2 * row.get("b", 0)
+    out["const"] = out.get("const", 0) + r * (row.get("b", 0) + row.get("r", 0))
+    return out
 
 
 def _source(row: Linear) -> str:
@@ -245,6 +266,43 @@ _bounce4 = _compile("_bounce4", "k, a, b, c",
 
 
 # ----------------------------------------------------------------------
+# row streams
+
+# One row stream per family, on plain tuples: a path is (k1, k2, k3, r2, r3)
+# or (k, a, b, c), a lattice point of _DOMAIN3/4, which _paths3/4 list in
+# the order of enumerate_paths3/4.  _rows3/4 classify each path as they
+# meet it, by one _bounce3/4 call, and yield (region, row): the region an
+# index into F_REGIONS or H_REGIONS, the row _ROW3/4 at the path, its "t"
+# the bounce.  Every polynomial of catalan tallies the columns of its own
+# variables from the rows of its region, or of every region, filtered from
+# that one stream.
+
+
+def _paths3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, ...]]:
+    return ((k1, k2, k3, r2, r3) for k1, k2, k3 in vectors for r2, r3 in _ranks3(k1, k2))
+
+
+def _paths4(ks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    for k in ks:
+        for a in range(k + 1):
+            for b in range(2 * k - a + 1):
+                for c in range(3 * k - a - b + 1):
+                    yield k, a, b, c
+
+
+def _rows3(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    for k1, k2, k3, r2, r3 in paths:
+        region, bounce = _bounce3(k1, k2, r2, r3)
+        yield region, (r2 + r3, bounce, k1, k2, k3, r2, r3)
+
+
+def _rows4(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    for k, a, b, c in paths:
+        region, bounce = _bounce4(k, a, b, c)
+        yield region, (6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c)
+
+
+# ----------------------------------------------------------------------
 # length-3 vectors
 
 
@@ -297,10 +355,7 @@ class ParamPath3:
     def __post_init__(self):
         if any(type(x) is not int or x < 0 for x in (self.a, self.c, self.e, self.b, self.d)):
             raise ValueError(f"parameters must be nonnegative integers: {self}")
-        if self.a - self.b < 0:
-            raise ValueError(f"b={self.b} exceeds a={self.a}")
-        if self.a - self.b + self.c - self.d < 0:
-            raise ValueError(f"d={self.d} exceeds {self.a - self.b + self.c} for {self}")
+        _check_runs("ParamPath3", self.a, self.c, self.b, self.d)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,11 +13,12 @@ the last factor touching it, as in the last-factor step of MacMahon's
 partition analysis (Andrews, Paule and Riese; Xin).
 
 The crude generating functions are *generated* by one builder, which looks
-a region up in the region list of :mod:`qtcatalan.dyck` and writes its rows,
-those the path classifiers are generated from, as one coefficient table,
-each column a geometric factor, as in Xin's fast algorithm.  The closed
-rational forms they eliminate to are transcribed in
-``data/closed_forms.json`` and loaded by :func:`closed_form`.
+a region up in the region list of :mod:`qtcatalan.dyck` and writes the
+family's row table and domain rows, and the region's rows, those the path
+classifiers are generated from, as one coefficient table, each column a
+geometric factor, as in Xin's fast algorithm.  The closed rational forms
+they eliminate to are transcribed in ``data/closed_forms.json`` and loaded
+by :func:`closed_form`.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from itertools import product
 from operator import add, itemgetter, mul
 from typing import Mapping, Sequence
 
-from .catalan import GF3_REFINED_VARS, GF4_REFINED_VARS, gf_series3, gf_series4
-from .dyck import (_BOUNDS3, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS, Linear,
-                   _case, _regions)
+from .catalan import gf_series3, gf_series4
+from .dyck import (_DOMAIN3, _DOMAIN4, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS, _ROW3,
+                   _ROW4, Linear, _at_parity, _case, _regions)
 from .polynomial import SparsePoly, VarTable
 
 MODE_NONNEG = "nonneg"
@@ -360,37 +361,17 @@ F_BASE_WEIGHTS = {"q": 1, "t": 1, "y2": 2, "y3": 2}
 H_BASE_WEIGHTS = {"q": 1, "t": 1, "y2": 2, "y3": 2, "y4": 2}
 
 
-def _at_parity(row: Linear, r: int) -> Linear:
-    """``row`` over s, with b = 2s + r and the parity symbol "r" set to r."""
-    out = {v: c for v, c in row.items() if v not in ("b", "r")}
-    out["s"] = out.get("s", 0) + 2 * row.get("b", 0)
-    out["const"] = out.get("const", 0) + r * (row.get("b", 0) + row.get("r", 0))
-    return out
-
-
-# Each family's retained functionals and path domain rows.  The region
-# tables, which the path classifiers are generated from too, are dyck's.
-
-_BASE3 = {"q": {"r2": 1, "r3": 1}, "x1": {"k1": 1}, "x2": {"k2": 1},
-          "x3": {"k3": 1}, "y2": {"r2": 1}, "y3": {"r3": 1}}
-_BASE4 = {"q": {"k": 6, "a": -3, "b": -2, "c": -1}, "x": {"k": 1},
-          "y2": {"a": 1}, "y3": {"b": 1}, "y4": {"c": 1}}
-_DOMAIN4 = [{"k": 1, "a": -1},                        # a <= k
-            {"k": 2, "a": -1, "b": -1},               # b <= 2k - a
-            {"k": 3, "a": -1, "b": -1, "c": -1}]      # c <= 3k - a - b
-
-
-def _crude(retained: Sequence[str], base: Mapping[str, Linear], domain: list[Linear],
-           part_cuts: list[Linear], parts: Sequence[tuple], region: str) -> FactoredOmegaExpr:
+def _crude(row: Mapping[str, Linear | None], domain: list[Linear], part_cuts: list[Linear],
+           parts: Sequence[tuple], region: str) -> FactoredOmegaExpr:
     """Crude expression of a family's ``region``, found in :func:`_regions`.
 
     The region is one coefficient table with a row per variable, in variable
-    order: the retained functionals (``base``, and the bounce as "t"), the
-    slack rows L >= 0 (l1.., ``nonneg``: ``domain``, the part's and the
-    case's), then a row A - z*p per ceiling p = ceil(A/z) (mu, or mu1.. for
-    two; ``zero``), a table in s rewritten at its parity r.  Each summation
-    variable's column is a factor, the "const" column is the base monomial,
-    and the numerator runs each mu through range(z)."""
+    order: the retained functionals (``row``, in its key order, its "t" the
+    bounce), the slack rows L >= 0 (l1.., ``nonneg``: ``domain``, the part's
+    and the case's), then a row A - z*p per ceiling p = ceil(A/z) (mu, or
+    mu1.. for two; ``zero``), a table in s rewritten at its parity r.  Each
+    summation variable's column is a factor, the "const" column is the base
+    monomial, and the numerator runs each mu through range(z)."""
     found = {label: entry for label, _, *entry in _regions(parts)}
     if region not in found:
         raise ValueError(f"unknown region {region!r}; expected one of {tuple(found)}")
@@ -400,28 +381,27 @@ def _crude(retained: Sequence[str], base: Mapping[str, Linear], domain: list[Lin
     slack = domain + _case(part_cuts, part) + _case(cuts, case)
     lams = [f"l{i + 1}" for i in range(len(slack))]
     mus = [f"mu{i + 1}" if len(ceilings) > 1 else "mu" for i in range(len(ceilings))]
-    functionals = {**base, "t": bounce}
-    table = [row if r is None else _at_parity(row, r)
-             for row in [functionals[name] for name in retained] + slack
-             + [{**a, p: a.get(p, 0) - z} for z, a, p in ceilings]]
-    factors = [tuple(row.get(v, 0) for row in table)
+    functionals = [bounce if f is None else f for f in row.values()]
+    table = [f if r is None else _at_parity(f, r)
+             for f in functionals + slack + [{**a, p: a.get(p, 0) - z} for z, a, p in ceilings]]
+    factors = [tuple(f.get(v, 0) for f in table)
                for v in sum_vars if v != "p" or ceilings]
-    const = [row.get("const", 0) for row in table]
+    const = [f.get("const", 0) for f in table]
     pad = (0,) * (len(table) - len(ceilings))
     numerator = [(1, tuple(c + j for c, j in zip(const, pad + js)))
                  for js in product(*(range(z) for z, _, _ in ceilings))]
-    return FactoredOmegaExpr(VarTable([*retained, *lams, *mus]), numerator, factors,
+    return FactoredOmegaExpr(VarTable([*row, *lams, *mus]), numerator, factors,
                              dict.fromkeys(lams, MODE_NONNEG) | dict.fromkeys(mus, MODE_ZERO))
 
 
 def build_crude_F(region: str) -> FactoredOmegaExpr:
     """Crude generating function for one length-3 bounce region."""
-    return _crude(GF3_REFINED_VARS, _BASE3, _BOUNDS3, _F_PART_CUTS, _F_PARTS, region)
+    return _crude(_ROW3, _DOMAIN3, _F_PART_CUTS, _F_PARTS, region)
 
 
 def build_crude_H(region: str) -> FactoredOmegaExpr:
     """Crude generating function for one k^4 bounce region."""
-    return _crude(GF4_REFINED_VARS, _BASE4, _DOMAIN4, _H_PART_CUTS, _H_PARTS, region)
+    return _crude(_ROW4, _DOMAIN4, _H_PART_CUTS, _H_PARTS, region)
 
 
 # ----------------------------------------------------------------------

@@ -181,6 +181,7 @@ def test_table_stats4_classifies_each_path_once(capsys, monkeypatch):
 
 def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
     import qtcatalan.catalan as catalan_mod
+    import qtcatalan.dyck as dyck_mod
 
     calls = {3: 0, 4: 0}
     yielded = {3: 0, 4: 0}
@@ -204,8 +205,8 @@ def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
         return views
 
     real_rows = catalan_mod._gf_rows
-    monkeypatch.setattr(catalan_mod, "_bounce3", counting(3, catalan_mod._bounce3))
-    monkeypatch.setattr(catalan_mod, "_bounce4", counting(4, catalan_mod._bounce4))
+    monkeypatch.setattr(dyck_mod, "_bounce3", counting(3, dyck_mod._bounce3))
+    monkeypatch.setattr(dyck_mod, "_bounce4", counting(4, dyck_mod._bounce4))
     monkeypatch.setattr(catalan_mod, "_gf_paths3", yielding(3, catalan_mod._gf_paths3))
     monkeypatch.setattr(catalan_mod, "_paths4", yielding(4, catalan_mod._paths4))
     monkeypatch.setattr(catalan_mod, "_gf_rows", keeping)

@@ -382,3 +382,64 @@ def test_bounce3_matches_the_two_branch_reference():
     # off the paths too: both are total on the integers
     for point in product(range(-2, 5), repeat=4):
         assert _bounce3(*point) == reference_bounce3(*point), point
+
+
+# The row streams restate the path model's tables as loops and tuples: each
+# is pinned to the table it restates, on every length-3 vector with
+# k1, k2 <= 6 and k3 <= 2 and on every k <= 6.
+VECTORS3 = list(product(range(7), range(7), range(3)))
+KS4 = range(7)
+
+
+def _value(functional, point: dict) -> int:
+    return sum(c * {**point, "const": 1}[v] for v, c in functional.items())
+
+
+def _domain_points(domain, fixed: dict, free: tuple[str, ...], top: int) -> list[tuple]:
+    """The points (*fixed, *free) with each free value in range(top + 1)
+    where every domain row is >= 0, in lexicographic order."""
+    points = [{**fixed, **dict(zip(free, values))}
+              for values in product(range(top + 1), repeat=len(free))]
+    return [tuple(point.values()) for point in points
+            if all(_value(row, point) >= 0 for row in domain)]
+
+
+def test_paths_list_the_points_of_the_domain_rows():
+    # each box reaches one past the largest coordinate a path can have
+    want3 = [point for k1, k2, k3 in VECTORS3 for point in _domain_points(
+        dyck._DOMAIN3, {"k1": k1, "k2": k2, "k3": k3}, ("r2", "r3"), k1 + k2 + 1)]
+    assert list(dyck._paths3(VECTORS3)) == want3 == sorted(want3)
+    want4 = [point for k in KS4
+             for point in _domain_points(dyck._DOMAIN4, {"k": k}, ("a", "b", "c"), 3 * k + 1)]
+    assert list(dyck._paths4(KS4)) == want4 == sorted(want4)
+    for k in KS4:
+        assert list(dyck._paths4([k])) == [(p.k, p.a, p.b, p.c) for p in enumerate_paths4(k)]
+
+
+def _row_mismatches(rows, paths: list[tuple], names: tuple[str, ...], table, classify
+                    ) -> list[tuple]:
+    """Each (path, got) of the stream ``rows`` of ``paths`` that is not the
+    classifier's region with ``table`` at the path, its "t" the bounce."""
+    out = []
+    for path, got in zip(paths, rows, strict=True):
+        point = dict(zip(names, path))
+        region, bounce = classify(**point)
+        row = tuple(bounce if f is None else _value(f, point) for f in table.values())
+        if got != (region, row):
+            out.append((path, got))
+    return out
+
+
+def _classify3(k1, k2, k3, r2, r3):
+    return _bounce3(k1, k2, r2, r3)
+
+
+def test_row_streams_restate_the_row_tables():
+    paths3 = list(dyck._paths3(VECTORS3))
+    paths4 = list(dyck._paths4(KS4))
+    names3, names4 = ("k1", "k2", "k3", "r2", "r3"), ("k", "a", "b", "c")
+    assert _row_mismatches(dyck._rows3(paths3), paths3, names3, dyck._ROW3, _classify3) == []
+    assert _row_mismatches(dyck._rows4(paths4), paths4, names4, dyck._ROW4, _bounce4) == []
+    # negative control: a row table with a wrong area coefficient is caught
+    wrong = {**dyck._ROW4, "q": {**dyck._ROW4["q"], "c": -2}}
+    assert _row_mismatches(dyck._rows4(paths4), paths4, names4, wrong, _bounce4)

@@ -348,7 +348,7 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
     monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
     rebuilt = dyck._compile("_bounce4", "k, a, b, c", *dyck._lowered(
         "k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS))
-    monkeypatch.setattr(catalan, "_bounce4", rebuilt)
+    monkeypatch.setattr(dyck, "_bounce4", rebuilt)
     catalan._gf_rows.cache_clear()
     try:
         for region in ("P2C1", "P2C2", "P3C1", "P3C2"):
