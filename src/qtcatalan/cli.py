@@ -10,7 +10,6 @@ stderr, results to stdout; closing stderr early stops only the progress.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -24,7 +23,8 @@ from .omega import GF_SECTIONS, check_gf_section
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
     parts = text.split(",")
     if len(parts) != n:
-        raise ValueError(f"{what} needs {n} comma-separated integers, got {text!r}")
+        count = "one integer" if n == 1 else f"{n} comma-separated integers"
+        raise ValueError(f"{what} needs {count}, got {text!r}")
     try:
         values = tuple(int(p) for p in parts)
     except ValueError:
@@ -125,6 +125,7 @@ def _emit_table(rows: list[dict], fields: tuple[str, ...], fmt: str):
     if fmt == "json":
         print(json.dumps(rows))
         return
+    import csv  # here, its one user: importing it costs every command about 1 ms
     writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)

@@ -15,8 +15,10 @@ their regions.  :func:`_compile`, the package's one code generator, writes
 straight-line code from a first-match table of rows over floor(row/z)
 symbols; the region tables are lowered into it, each split's overlap check
 being guard cases, and compiled to the path classifiers (a path's bounce
-and region number), which the row streams call once per path.  The
-involution's case table is compiled the same way.
+and region number), which the row streams call once per path; it can
+also write a loop form that runs the same code for each value of one
+argument, computing what does not depend on it once.  The involution's
+case table is compiled the same way.
 """
 
 from __future__ import annotations
@@ -150,17 +152,25 @@ _COMPLEMENT = {">=": "<", "<": ">="}
 
 
 def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
-             symbols: Mapping[str, tuple[Linear, int]]) -> Callable:
+             symbols: Mapping[str, tuple[Linear, int]], over: str | None = None
+             ) -> Callable | tuple[Callable, Callable]:
     """Compile ``name(args)`` from a first-match table as straight-line code.
 
     A case (rows, result) holds where its rows hold and no earlier case's
     do.  Rows read the arguments and ``symbols``: name -> (row, z), z >= 1,
     each symbol q being floor(row/z), which its defining rows
-    0 <= row - z*q <= z - 1 pin down; z = 1 names the row itself.  A result
-    of rows, strings and tuples is returned; a message, an f-string over the
-    arguments and its rows' symbols, is raised as AssertionError.  Cases
-    sharing their next test share an ``if``, a test known to hold is left
-    out, and a symbol is computed where a path first needs it."""
+    0 <= row - z*q <= z - 1 pin down; z = 1 names the row itself.  A result,
+    a tuple of rows, strings and tuples, is returned; a message, an f-string
+    over the arguments and its rows' symbols, is raised as AssertionError.
+    Cases sharing their next test share an ``if``, a test known to hold is
+    left out, and a symbol is computed where a path first needs it.
+
+    With ``over``, one of the arguments, the pair (``name``, loop form) is
+    returned.  The loop form ``{name}_rows(<the other arguments>, values,
+    *appenders)`` runs the same tree for ``over`` = each of ``values`` in one
+    loop, gives each item of a case's result to its own appender and goes on
+    with the next value, and raises what ``name`` raises; every test and
+    symbol that does not read ``over`` is computed once, before the loop."""
     cuts: list[Linear] = []
     found: dict[frozenset, tuple[int, str]] = {}  # a row's terms -> (j, op)
 
@@ -182,15 +192,26 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
                 out.append((j, op))
         return out
 
+    def varies(row: Linear) -> bool:
+        return any(v == over or v in symbols and varies(symbols[v][0]) for v in row)
+
+    def hoist(row: Linear) -> bool:
+        return loop and not varies(row)
+
     def define(row: Linear, indent: str, defined: set) -> None:
         for v in row:
-            if v not in symbols or v in defined:
+            if v not in symbols or v in defined or v in hoisted:
                 continue
             arg, z = symbols[v]
             define(arg, indent, defined)
-            defined.add(v)
             term = _source(arg) if z == 1 or len(arg) == 1 else f"({_source(arg)})"
-            lines.append(f"{indent}{v} = {term}" + (f" // {z}" if z > 1 else ""))
+            line = f"{v} = {term}" + (f" // {z}" if z > 1 else "")
+            if hoist(arg):
+                hoisted[v] = v
+                before.append(f"    {line}")
+            else:
+                defined.add(v)
+                lines.append(f"{indent}{line}")
 
     def source(value, indent: str, defined: set) -> str:
         if isinstance(value, str):
@@ -202,12 +223,19 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
 
     def emit(group: Iterable, depth: int, indent: str, defined: set, known: set) -> bool:
         """Emit the cases of ``group`` from their test ``depth`` on, where the
-        tests in ``known`` hold; True if the code emitted always returns."""
+        tests in ``known`` hold; True if the code emitted always returns (in
+        the loop form, goes on with the next value)."""
         for test, same in groupby(group, lambda case: case[0][depth:depth + 1]):
             if not test:
                 value = next(same)[1]
-                lines.append(f"{indent}raise AssertionError(f{value!r})" if isinstance(value, str)
-                             else f"{indent}return {source(value, indent, defined)[1:-1]}")
+                if isinstance(value, str):
+                    lines.append(f"{indent}raise AssertionError(f{value!r})")
+                elif not loop:
+                    lines.append(f"{indent}return {source(value, indent, defined)[1:-1]}")
+                else:
+                    items = [source(item, indent, defined) for item in value]
+                    lines.extend(f"{indent}_append{i}({item})" for i, item in enumerate(items))
+                    lines.append(f"{indent}continue")
                 return True
             j, op = test[0]
             if (j, op) in known:
@@ -217,15 +245,33 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
                 define(cuts[j], indent, defined)
                 positive = {v: k for v, k in cuts[j].items() if k > 0}
                 negative = {v: -k for v, k in cuts[j].items() if k < 0}
-                lines.append(f"{indent}if {_source(positive)} {op} {_source(negative)}:")
+                condition = f"{_source(positive)} {op} {_source(negative)}"
+                if hoist(cuts[j]):
+                    if condition not in hoisted:
+                        hoisted[condition] = f"_t{len(before)}"
+                        before.append(f"    {hoisted[condition]} = {condition}")
+                    condition = hoisted[condition]
+                lines.append(f"{indent}if {condition}:")
                 if emit(same, depth + 1, indent + "    ", set(defined), known | {(j, op)}):
                     known.add((j, _COMPLEMENT.get(op)))
         return False
 
+    table = [(tests(rows), result) for rows, result in cases]
+    # the loop form's lines ahead of its loop, and what they compute: a
+    # symbol, or a test's condition, -> its name
+    loop, before, hoisted = False, [], {}
     lines = [f"def {name}({args}):"]
-    emit([(tests(rows), result) for rows, result in cases], 0, "    ", set(), set())
+    emit(table, 0, "    ", set(), set())
+    if over:
+        point, loop = lines, True
+        width = next(len(r) for _, r in cases if isinstance(r, tuple))
+        head = [v for v in args.split(", ") if v != over] + ["values"]
+        head += [f"_append{i}" for i in range(width)]
+        lines = [f"    for {over} in values:"]
+        emit(table, 0, "        ", set(), set())
+        lines = [*point, f"def {name}_rows({', '.join(head)}):", *before, *lines]
     exec(compile("\n".join(lines), f"<generated {name}>", "exec"), {}, namespace := {})
-    return namespace[name]
+    return (namespace[name], namespace[f"{name}_rows"]) if over else namespace[name]
 
 
 def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tuple]
@@ -258,9 +304,12 @@ def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tup
     return table + [([], f"no bounce case holds for {point}({fields})")], symbols
 
 
-# (region, bounce) of a path (r2, r3) for (k1, k2, k3), or (a, b, c) for k^4
-_bounce3 = _compile("_bounce3", "k1, k2, r2, r3",
-                    *_lowered("k1, k2, r2, r3", "Path3", _F_PART_CUTS, _F_PARTS))
+# (region, bounce) of a path (r2, r3) for (k1, k2, k3), or (a, b, c) for k^4;
+# _bounce3_rows(k1, k2, r2, r3s, region_append, bounce_append) classifies a
+# row of paths, each r3 of r3s, in one call
+_bounce3, _bounce3_rows = _compile("_bounce3", "k1, k2, r2, r3",
+                                   *_lowered("k1, k2, r2, r3", "Path3", _F_PART_CUTS, _F_PARTS),
+                                   over="r3")
 _bounce4 = _compile("_bounce4", "k, a, b, c",
                     *_lowered("k, a, b, c", "Path4", _H_PART_CUTS, _H_PARTS))
 

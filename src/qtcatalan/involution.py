@@ -22,6 +22,7 @@ Case labels and their exchange pattern:
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -115,14 +116,16 @@ _CASES = (
 
 
 def _generate(cases: Sequence[tuple[str, list[Linear], tuple[Linear, Linear]]]
-              ) -> Callable[[int, int, int, int], tuple[str, tuple[int, int]]]:
-    """Compile ``_case(a, c, b, d)``, a point's (label, image), from a case table."""
+              ) -> tuple[Callable[[int, int, int, int], tuple[str, tuple[int, int]]], Callable]:
+    """Compile a case table's two forms: ``_case(a, c, b, d)``, a point's
+    (label, image), and ``_case_rows(a, c, b, ds, label_append,
+    image_append)``, which appends them for each d of ``ds`` in turn."""
     table = [(rows, (label, image)) for label, rows, image in cases]
     no_case = "no involution case holds at (a, c, b, d) = ({a}, {c}, {b}, {d})"
-    return dyck._compile("_case", "a, c, b, d", table + [([], no_case)], _SYMBOLS)
+    return dyck._compile("_case", "a, c, b, d", table + [([], no_case)], _SYMBOLS, over="d")
 
 
-_case = _generate(_CASES)
+_case, _case_rows = _generate(_CASES)
 
 
 def _checked_case(a: int, c: int, b: int, d: int, name: str,
@@ -218,26 +221,24 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
     case labels must follow CASE_EXCHANGE.  Failures are recorded, not
     raised; a negative or non-integer a or c raises ValueError.
 
-    Each point is evaluated once, by one ``_case`` and one ``dyck._bounce3``
-    call: a first pass records its label, image and bounce in flat lists,
-    row b starting at index ``start[b]``, and the checks read a valid image's
-    record at ``start[b2] + d2``.  The lists hold the whole pair, so memory
-    grows with its (a + 1)(a/2 + c + 1) points: about 31 MiB at (400, 400).
-    Evaluating each image again instead would hold next to nothing, at twice
-    the evaluations.
+    Each point is evaluated once, a row b at a time, by one ``_case_rows``
+    call (d ascending) and one ``dyck._bounce3_rows`` call (r3 = a - b + c - d
+    descending): a first pass records each point's label, image and bounce
+    in flat lists, row b starting at index ``start[b]``, and the checks read
+    a valid image's record at ``start[b2] + d2``.  The lists hold the whole
+    pair, so memory grows with its (a + 1)(a/2 + c + 1) points: about
+    31 MiB at (400, 400).  Evaluating each image again instead would hold
+    next to nothing, at twice the evaluations.
     """
     if type(a) is not int or type(c) is not int or a < 0 or c < 0:
         raise ValueError(f"verify_involution requires integers a, c >= 0, got a={a!r}, c={c!r}")
-    case, bounce3 = _case, dyck._bounce3
     labels, images, bounces, start = [], [], [], []
+    dropped = deque(maxlen=0).append  # the regions, which the checks do not read
     for b in range(a + 1):
         start.append(len(labels))
         r2 = a - b
-        for d in range(r2 + c + 1):
-            label, image = case(a, c, b, d)
-            labels.append(label)
-            images.append(image)
-            bounces.append(bounce3(a, c, r2, r2 + c - d)[1])
+        _case_rows(a, c, b, range(r2 + c + 1), labels.append, images.append)
+        dyck._bounce3_rows(a, c, r2, range(r2 + c, -1, -1), dropped, bounces.append)
     report = InvolutionReport(a, c, len(labels))
     fail = report.failures.append
     i = -1

@@ -93,6 +93,10 @@ def test_malformed_k_exits_2(capsys):
     assert usage_error_lines(capsys, "poly4", "--k", "-1") == (
         "usage: qtcatalan poly4 [-h] --k K [--format {text,json,latex}]",
         "qtcatalan poly4: error: --k must be nonnegative")
+    # a one-integer option is not a list of them
+    assert usage_error_lines(capsys, "table", "--what", "stats4", "--k", "1,2") == (
+        "usage: qtcatalan table [-h] --what {stats3,stats4} --k K [--format {csv,json}]",
+        "qtcatalan table: error: --k needs one integer, got '1,2'")
 
 
 def test_unknown_flags_exit_2(capsys):

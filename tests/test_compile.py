@@ -97,9 +97,75 @@ def test_generated_code_only_floors(monkeypatch, name):
         return compile(source, *args)
     monkeypatch.setattr(dyck, "compile", spy, raising=False)
     args, cases, symbols = TABLES[name][1]()
-    dyck._compile(name, args, cases, symbols)
+    dyck._compile(name, args, cases, symbols, over=LOOPS[name][0])  # both forms
     assert all(z >= 1 for _, z in symbols.values())
     (source,) = sources
     assert " // " in source
     for token in ("assert", "&", "%"):
         assert token not in source, token
+
+
+# name -> (the argument the loop form runs over, the loop form the package
+# uses, or None to compile one here)
+LOOPS = {
+    "_bounce3": ("r3", dyck._bounce3_rows),
+    "_bounce4": ("c", None),  # hoists the symbols s and r, and reaches a guard
+    "_case": ("d", involution._case_rows),
+}
+
+
+def _appended(function, names, over, fixed, values):
+    """What a loop form over ``over`` would append for ``values`` if it called
+    the point form ``function`` per value, and the message it raises, if any."""
+    appended = ([], [])
+    for value in values:
+        point = {**fixed, over: value}
+        try:
+            result = function(*(point[name] for name in names))
+        except AssertionError as exc:
+            return appended, str(exc)
+        for out, item in zip(appended, result):
+            out.append(item)
+    return appended, None
+
+
+def _looped(rows, fixed, values):
+    appended = ([], [])
+    try:
+        rows(*fixed.values(), values, appended[0].append, appended[1].append)
+    except AssertionError as exc:
+        return appended, str(exc)
+    return appended, None
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_loop_form_appends_what_the_point_form_returns(name):
+    compiled, table = TABLES[name]
+    args, cases, symbols = table()
+    over, rows = LOOPS[name]
+    if rows is None:
+        rows = dyck._compile(name, args, cases, symbols, over=over)[1]
+    reference = interpret(args, cases, symbols)
+    names = args.split(", ")
+    others = [v for v in names if v != over]
+    outcomes = []
+    for point in sorted({tuple(p for v, p in zip(names, point) if v != over) for point in BOX}):
+        fixed = dict(zip(others, point))
+        for values in (range(-3, 6), range(5, -4, -1)):
+            got = _looped(rows, fixed, values)
+            assert got == _appended(compiled, names, over, fixed, values), (fixed, values)
+            assert got == _appended(reference, names, over, fixed, values), (fixed, values)
+            outcomes.append(got)
+    if name == "_bounce4":  # a guard raises, after earlier values were appended
+        assert any(message and "bounce cases [3, 5] fired" in message and appended[0]
+                   for appended, message in outcomes)
+
+
+def test_loop_form_names_the_value_no_case_holds_for():
+    case, case_rows = involution._generate(involution._CASES[:-1])  # without G32
+    labels, images = [], []
+    with pytest.raises(AssertionError,
+                       match=r"no involution case holds at \(a, c, b, d\) = \(3, 2, 2, 0\)"):
+        case_rows(3, 2, 2, [4, 2, 0, 1], labels.append, images.append)
+    assert list(zip(labels, images)) == [case(3, 2, 2, 4), case(3, 2, 2, 2)]
+    assert labels == ["G22", "G22"]

@@ -186,32 +186,51 @@ def test_verify_involution_reports_wrong_case_exchange(monkeypatch):
 
 
 def _g32_subtracted():
-    """``_case`` regenerated with b' = a - b - d - v, not + v, in the image of
-    L22 and G32: the variant named beside ``_IMAGE_22``."""
+    """``_case`` and ``_case_rows`` regenerated with b' = a - b - d - v, not
+    + v, in the image of L22 and G32: the variant named beside ``_IMAGE_22``."""
     old = involution._IMAGE_22
     new = ({**old[0], "v": -1}, old[1])
     return involution._generate(tuple((label, rows, new if image is old else image)
                                       for label, rows, image in involution._CASES))
 
 
-def _l11_sent_to(image):
-    """``_case`` with every L11 point sent to ``image(a, c, b, d)``."""
-    real_case = involution._case
+def _patch_both(mp, forms):
+    """Patch ``_case`` and ``_case_rows`` with the two forms of one table."""
+    mp.setattr(involution, "_case", forms[0])
+    mp.setattr(involution, "_case_rows", forms[1])
+
+
+def _l11_sent_to(mp, image):
+    """Send every L11 point to ``image(a, c, b, d)``: in ``_case``, which the
+    reference loop calls, and through the image appender ``_case_rows`` is
+    given, which ``verify_involution`` calls."""
+    real_case, real_rows = involution._case, involution._case_rows
 
     def case(a, c, b, d):
         label, img = real_case(a, c, b, d)
         return label, (image(a, c, b, d) if label == "L11" else img)
-    return case
+
+    def case_rows(a, c, b, ds, append_label, append_image):
+        labels, points = [], iter(ds)
+
+        def record(label):
+            labels.append(label)
+            append_label(label)
+
+        def send(img):
+            d = next(points)
+            append_image(image(a, c, b, d) if labels[-1] == "L11" else img)
+        real_rows(a, c, b, ds, record, send)
+    mp.setattr(involution, "_case", case)
+    mp.setattr(involution, "_case_rows", case_rows)
 
 
 # name -> how to break the map, given pytest's monkeypatch
 MUTANTS = {
     "real": lambda mp: None,
-    "g32_subtracted": lambda mp: mp.setattr(involution, "_case", _g32_subtracted()),
-    "l11_fixed": lambda mp: mp.setattr(
-        involution, "_case", _l11_sent_to(lambda a, c, b, d: (b, d))),
-    "l11_past_row_end": lambda mp: mp.setattr(
-        involution, "_case", _l11_sent_to(lambda a, c, b, d: (b, a - b + c + 1))),
+    "g32_subtracted": lambda mp: _patch_both(mp, _g32_subtracted()),
+    "l11_fixed": lambda mp: _l11_sent_to(mp, lambda a, c, b, d: (b, d)),
+    "l11_past_row_end": lambda mp: _l11_sent_to(mp, lambda a, c, b, d: (b, a - b + c + 1)),
     "l12_to_itself": lambda mp: mp.setitem(CASE_EXCHANGE, "L12", "L12"),
 }
 
@@ -265,21 +284,30 @@ def test_verify_involution_matches_the_reference_loop(monkeypatch, mutant):
                     == _reference_verify(a, c).to_json_dict()), (a, c)
 
 
-def test_verify_involution_evaluates_each_point_once(monkeypatch):
-    calls = {"_case": 0, "_bounce3": 0}
+def test_verify_involution_makes_one_loop_call_per_row(monkeypatch):
+    calls = {"_case_rows": [], "_bounce3_rows": []}
 
     def counting(name, real):
         def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
+            *head, append = args  # the image's or the bounce's appender
+            results = []
+
+            def counted(value):
+                results.append(value)
+                append(value)
+            real(*head, counted)
+            calls[name].append(len(results))
         return wrapper
-    monkeypatch.setattr(involution, "_case", counting("_case", involution._case))
-    monkeypatch.setattr(dyck, "_bounce3", counting("_bounce3", dyck._bounce3))
+    monkeypatch.setattr(involution, "_case_rows",
+                        counting("_case_rows", involution._case_rows))
+    monkeypatch.setattr(dyck, "_bounce3_rows", counting("_bounce3_rows", dyck._bounce3_rows))
     report = verify_involution(6, 4)
-    assert report.ok and calls == {"_case": report.checked, "_bounce3": report.checked}
+    rows = [6 - b + 4 + 1 for b in range(7)]  # points per row b
+    assert report.ok and sum(rows) == report.checked == 56
+    assert calls == {"_case_rows": rows, "_bounce3_rows": rows}
 
 
-def test_verify_involution_makes_two_calls_per_point():
+def test_verify_involution_makes_two_calls_per_row():
     calls = 0
 
     def profile(frame, event, arg):
@@ -291,7 +319,7 @@ def test_verify_involution_makes_two_calls_per_point():
     finally:
         sys.setprofile(None)
     assert report.ok and report.checked == 56
-    assert calls <= 2 * report.checked + 4, calls
+    assert calls <= 2 * (6 + 1) + 4, calls
 
 
 # The hand-written maps the case table replaced, kept as a reference.
@@ -355,7 +383,7 @@ def test_g32_subtracted_agrees_with_the_hand_written_variant():
         y = parity_y(c, d)
         num = c + ceil_div(d, 2) - y
         return (a - b - d - num // 2, 2 * (d // 2) + y)
-    case = _g32_subtracted()
+    case, _ = _g32_subtracted()
     for a in range(9):
         for c in range(9):
             for b in range(a + 1):
@@ -381,7 +409,7 @@ def _shifted(cut, by):
 def test_a_shifted_cut_is_reported(monkeypatch, cut):
     table = _shifted(getattr(involution, cut), -1)
     assert table != involution._CASES
-    monkeypatch.setattr(involution, "_case", involution._generate(table))
+    _patch_both(monkeypatch, involution._generate(table))
     reasons = [f.reason for a in range(8) for c in range(8)
                for f in verify_involution(a, c).failures]
     assert reasons
@@ -390,7 +418,7 @@ def test_a_shifted_cut_is_reported(monkeypatch, cut):
 
 
 def test_a_point_no_case_holds_for_is_named():
-    case = involution._generate(involution._CASES[:-1])  # without G32
+    case, _ = involution._generate(involution._CASES[:-1])  # without G32
     assert case(3, 2, 0, 4) == reference_case(3, 2, 0, 4) == ("G12", (1, 4))
     with pytest.raises(AssertionError,
                        match=r"no involution case holds at \(a, c, b, d\) = \(3, 2, 2, 0\)"):
