@@ -18,8 +18,7 @@ from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3,
-                   _bounce4, _check_kvec3, _paths3, _paths4, _rows3, _rows4, area4, bounce4,
-                   enumerate_paths4)
+                   _bounce4, _check_kvec3, _rows3, _rows4, area4, bounce4, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -74,7 +73,7 @@ def _sweep3(ks: Sequence[KVec3], region: str | None) -> Iterator[tuple[int, ...]
     for k in ks:
         _check_kvec3(k)
     want = _check_args(region, F_REGIONS)
-    return _in_region(_rows3(_paths3([(k.k1, k.k2, k.k3) for k in ks])), want)
+    return _in_region(_rows3([(k.k1, k.k2, k.k3) for k in ks]), want)
 
 
 def catalan_poly3(k: KVec3) -> SparsePoly:
@@ -119,21 +118,14 @@ def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:
 def refined_poly4(k: int, region: str | None = None) -> SparsePoly:
     """Refined sum q^area t^bounce y2^a y3^b y4^c over (q, t, y2, y3, y4)."""
     want = _check_args(region, H_REGIONS, k)
-    return _tally(REFINED4_VARS, GF4_REFINED_VARS, _in_region(_rows4(_paths4([k])), want))
+    return _tally(REFINED4_VARS, GF4_REFINED_VARS, _in_region(_rows4([k]), want))
 
 
-def _gf_paths3(max_total: int) -> Iterator[tuple[int, ...]]:
-    """Each path of each vector with k1 + k2 + k3 <= max_total."""
-    return _paths3((k1, k2, k3) for k1 in range(max_total + 1)
-                   for k2 in range(max_total - k1 + 1)
-                   for k3 in range(max_total - k1 - k2 + 1))
-
-
-# The rows of the last gf order asked, in the order of _gf_paths3 or
-# _paths4, kept per region: one enumeration and one classification per path
-# and order, however many regions are tallied.  A region's rows are packed
-# as C unsigned ints, four bytes per column, and read back through a
-# read-only memoryview (the array module would add an extension module to
+# The rows of the last gf order asked, as _rows3/_rows4 yield them, kept per
+# region: one enumeration and one classification per path and order,
+# however many regions are tallied.  A region's rows are packed as C
+# unsigned ints, four bytes per column of _ROW3/_ROW4, and read back through
+# a read-only memoryview (the array module would add an extension module to
 # every import), so the cache holds no tuple or int object per path.
 
 
@@ -141,8 +133,9 @@ def _gf_paths3(max_total: int) -> Iterator[tuple[int, ...]]:
 def _gf_rows(three: bool, order: int) -> dict[int, memoryview]:
     """Per region number, the packed rows of the length-3 paths with
     k1 + k2 + k3 <= order (``three``) or of the k^4 paths with k <= order."""
-    rows = _rows3(_gf_paths3(order)) if three else _rows4(_paths4(range(order + 1)))
-    pack, packed = Struct("7I" if three else "6I").pack, defaultdict(bytearray)
+    rows = (_rows3((k1, k2, k3) for k1 in range(order + 1) for k2 in range(order - k1 + 1)
+                   for k3 in range(order - k1 - k2 + 1)) if three else _rows4(range(order + 1)))
+    pack, packed = Struct(f"{len(_ROW3 if three else _ROW4)}I").pack, defaultdict(bytearray)
     for region, row in rows:
         packed[region] += pack(*row)
     return {region: memoryview(b).toreadonly().cast("I") for region, b in packed.items()}

@@ -15,8 +15,8 @@ import os
 import sys
 
 from .catalan import catalan_poly3, catalan_poly_k4, catalan_poly_lambda3
-from .dyck import H_REGIONS, KVec3, _paths4, _rows4, area3, bounce3, enumerate_paths3, to_param3
-from .involution import classify, verify_involution
+from .dyck import H_REGIONS, KVec3, _rows3, _rows4
+from .involution import _case, verify_involution
 from .omega import GF_SECTIONS, check_gf_section
 
 
@@ -105,19 +105,20 @@ def _verify_gf(max_order: int) -> int:
 
 
 def _table_stats3(k: KVec3, fmt: str):
+    # the rows the length-3 polynomials sum, each with its involution case
+    # at its run parameters (b, d)
     rows = []
-    for p in enumerate_paths3(k):
-        pp = to_param3(p)
-        rows.append({"r2": p.r2, "r3": p.r3, "b": pp.b, "d": pp.d,
-                     "area": area3(p), "bounce": bounce3(p),
-                     "case": classify(pp.a, pp.c, pp.b, pp.d)})
+    for _, (area, bounce, a, c, _, r2, r3) in _rows3([(k.k1, k.k2, k.k3)]):
+        b, d = a - r2, r2 + c - r3
+        rows.append({"r2": r2, "r3": r3, "b": b, "d": d, "area": area, "bounce": bounce,
+                     "case": _case(a, c, b, d)[0]})
     _emit_table(rows, ("r2", "r3", "b", "d", "area", "bounce", "case"), fmt)
 
 
 def _table_stats4(k: int, fmt: str):
     # the rows the k^4 polynomials sum
     rows = [{"a": a, "b": b, "c": c, "area": area, "bounce": bounce, "case": H_REGIONS[region]}
-            for region, (area, bounce, _, a, b, c) in _rows4(_paths4([k]))]
+            for region, (area, bounce, _, a, b, c) in _rows4([k])]
     _emit_table(rows, ("a", "b", "c", "area", "bounce", "case"), fmt)
 
 

@@ -317,38 +317,31 @@ _bounce4 = _compile("_bounce4", "k, a, b, c",
 # ----------------------------------------------------------------------
 # row streams
 
-# One row stream per family, on plain tuples: a path is (k1, k2, k3, r2, r3)
-# or (k, a, b, c), a lattice point of _DOMAIN3/4, which _paths3/4 list in
-# the order of enumerate_paths3/4.  _rows3/4 classify each path as they
-# meet it, by one _bounce3/4 call, and yield (region, row): the region an
-# index into F_REGIONS or H_REGIONS, the row _ROW3/4 at the path, its "t"
-# the bounce.  Every polynomial of catalan tallies the columns of its own
-# variables from the rows of its region, or of every region, filtered from
-# that one stream.
+# One row stream per family, on plain tuples: _rows3(vectors) and _rows4(ks)
+# meet each path (k1, k2, k3, r2, r3) or (k, a, b, c), a lattice point of
+# _DOMAIN3/4, in the order of enumerate_paths3/4, classify it there by one
+# _bounce3/4 call, and yield (region, row): the region an index into
+# F_REGIONS or H_REGIONS, the row _ROW3/4 at the path, its "t" the bounce.
+# Every polynomial of catalan, and both path tables of cli, read the rows
+# of one of these streams, catalan's each tallying the columns of its own
+# variables from the rows of its region, or of every region.
 
 
-def _paths3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, ...]]:
-    return ((k1, k2, k3, r2, r3) for k1, k2, k3 in vectors for r2, r3 in _ranks3(k1, k2))
+def _rows3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    for k1, k2, k3 in vectors:
+        for r2 in range(k1 + 1):
+            for r3 in range(r2 + k2 + 1):
+                region, bounce = _bounce3(k1, k2, r2, r3)
+                yield region, (r2 + r3, bounce, k1, k2, k3, r2, r3)
 
 
-def _paths4(ks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+def _rows4(ks: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     for k in ks:
         for a in range(k + 1):
             for b in range(2 * k - a + 1):
                 for c in range(3 * k - a - b + 1):
-                    yield k, a, b, c
-
-
-def _rows3(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    for k1, k2, k3, r2, r3 in paths:
-        region, bounce = _bounce3(k1, k2, r2, r3)
-        yield region, (r2 + r3, bounce, k1, k2, k3, r2, r3)
-
-
-def _rows4(paths: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    for k, a, b, c in paths:
-        region, bounce = _bounce4(k, a, b, c)
-        yield region, (6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c)
+                    region, bounce = _bounce4(k, a, b, c)
+                    yield region, (6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c)
 
 
 # ----------------------------------------------------------------------
@@ -441,17 +434,10 @@ def count_paths3(k: KVec3) -> int:
     return (k.k1 + 1) * (k.k2 + 1) + k.k1 * (k.k1 + 1) // 2
 
 
-def _ranks3(k1: int, k2: int) -> Iterator[tuple[int, int]]:
-    """Red ranks (r2, r3) of each path for (k1, k2, k3), lexicographically."""
-    for r2 in range(k1 + 1):
-        for r3 in range(r2 + k2 + 1):
-            yield r2, r3
-
-
 def enumerate_paths3(k: KVec3) -> list[Path3]:
     """All paths for k, ordered lexicographically by (r2, r3)."""
     _check_kvec3(k)
-    return [Path3(k, r2, r3) for r2, r3 in _ranks3(k.k1, k.k2)]
+    return [Path3(k, r2, r3) for r2 in range(k.k1 + 1) for r3 in range(r2 + k.k2 + 1)]
 
 
 def area3(p: Path3) -> int:

@@ -102,7 +102,12 @@ class VarTable:
     __slots__ = ("names", "_index")
 
     def __init__(self, names: Iterable[str]):
-        names = tuple(names)
+        # a bare string would be split into its letters, and a name that is
+        # no str breaks rendering
+        if not isinstance(names, str):
+            names = tuple(names)
+        if isinstance(names, str) or any(type(n) is not str for n in names):
+            raise ValueError(f"variable names must be an iterable of strings, got {names!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names!r}")
         self.names = names
@@ -262,6 +267,8 @@ class SparsePoly:
         return result
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is int:  # as in arithmetic; a bool is no number here
+            other = SparsePoly.constant(self.vars, other)
         return (isinstance(other, SparsePoly)
                 and self.vars == other.vars
                 and self.terms == other.terms)
@@ -346,7 +353,6 @@ class SparsePoly:
         if not isinstance(doc, Mapping):
             raise ValueError(f"JSON polynomial must be an object, got {doc!r}")
         names = doc.get("vars")
-        # VarTable would split a bare string such as "qt" into its letters
         if not (isinstance(names, (list, tuple)) and all(type(n) is str for n in names)):
             raise ValueError(f'JSON "vars" must be a list of strings, got {names!r}')
         items = doc.get("terms")

@@ -1,13 +1,18 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import qtcatalan
 from qtcatalan.cli import main
+from qtcatalan.dyck import KVec3, area3, bounce3, enumerate_paths3, to_param3
+from qtcatalan.involution import classify
 
 
 def run(capsys, *argv):
@@ -183,6 +188,57 @@ def test_table_stats4_classifies_each_path_once(capsys, monkeypatch):
     assert len(calls) == 140
 
 
+def _stats3_rows_from_path_objects(k: KVec3) -> list[dict]:
+    # the stats3 table as built from validated path objects and per-path
+    # views, the reference for the table read from the row stream
+    rows = []
+    for p in enumerate_paths3(k):
+        pp = to_param3(p)
+        rows.append({"r2": p.r2, "r3": p.r3, "b": pp.b, "d": pp.d,
+                     "area": area3(p), "bounce": bounce3(p),
+                     "case": classify(pp.a, pp.c, pp.b, pp.d)})
+    return rows
+
+
+def test_table_stats3_matches_the_path_object_table(capsys):
+    fields = ("r2", "r3", "b", "d", "area", "bounce", "case")
+    for k1, k2, k3 in product(range(7), range(7), range(2)):
+        rows = _stats3_rows_from_path_objects(KVec3(k1, k2, k3))
+        want_csv = io.StringIO()
+        writer = csv.DictWriter(want_csv, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        vector = f"{k1},{k2},{k3}"
+        assert run(capsys, "table", "--what", "stats3", "--k", vector) == (
+            0, want_csv.getvalue(), ""), vector
+        assert run(capsys, "table", "--what", "stats3", "--k", vector, "--format", "json") == (
+            0, json.dumps(rows) + "\n", ""), vector
+
+
+def test_table_stats3_classifies_each_path_once(capsys, monkeypatch):
+    import qtcatalan.cli as cli_mod
+    import qtcatalan.dyck as dyck_mod
+    import qtcatalan.involution as involution_mod
+
+    calls = {"_bounce3": 0, "_case": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(dyck_mod, "_bounce3", counting("_bounce3", dyck_mod._bounce3))
+    case = counting("_case", involution_mod._case)
+    monkeypatch.setattr(involution_mod, "_case", case)
+    monkeypatch.setattr(cli_mod, "_case", case, raising=False)
+    code, out, _ = run(capsys, "table", "--what", "stats3", "--k", "4,2,1")
+    assert code == 0
+    # (k1 + 1)(k2 + 1) + k1(k1 + 1)/2 = 25 paths for (4, 2, 1)
+    assert len(out.splitlines()) == 1 + 25
+    assert calls == {"_bounce3": 25, "_case": 25}
+
+
 def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
     import qtcatalan.catalan as catalan_mod
     import qtcatalan.dyck as dyck_mod
@@ -199,9 +255,9 @@ def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
 
     def yielding(family, real):
         def wrapper(*args):
-            for path in real(*args):
+            for row in real(*args):
                 yielded[family] += 1
-                yield path
+                yield row
         return wrapper
 
     def keeping(three, order):
@@ -211,16 +267,16 @@ def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
     real_rows = catalan_mod._gf_rows
     monkeypatch.setattr(dyck_mod, "_bounce3", counting(3, dyck_mod._bounce3))
     monkeypatch.setattr(dyck_mod, "_bounce4", counting(4, dyck_mod._bounce4))
-    monkeypatch.setattr(catalan_mod, "_gf_paths3", yielding(3, catalan_mod._gf_paths3))
-    monkeypatch.setattr(catalan_mod, "_paths4", yielding(4, catalan_mod._paths4))
+    monkeypatch.setattr(catalan_mod, "_rows3", yielding(3, catalan_mod._rows3))
+    monkeypatch.setattr(catalan_mod, "_rows4", yielding(4, catalan_mod._rows4))
     monkeypatch.setattr(catalan_mod, "_gf_rows", keeping)
     real_rows.cache_clear()
     code, out, _ = run(capsys, "verify", "--suite", "gf", "--truncate", "8")
     assert code == 0
     assert out == '{"suite": "gf", "status": "pass", "checked": 10528}\n'
     # one enumeration and one classification per path, however many
-    # sections read it: 2,079 paths with k1 + k2 + k3 <= 8 and 4,845 k^4
-    # paths with k <= 8
+    # sections read it: 2,079 rows of paths with k1 + k2 + k3 <= 8 and
+    # 4,845 of k^4 paths with k <= 8
     assert yielded == {3: 2079, 4: 4845}
     assert calls == {3: 2079, 4: 4845}
     # the cache keeps each row packed, four bytes per column: seven columns

@@ -404,16 +404,28 @@ def _domain_points(domain, fixed: dict, free: tuple[str, ...], top: int) -> list
             if all(_value(row, point) >= 0 for row in domain)]
 
 
-def test_paths_list_the_points_of_the_domain_rows():
+def _paths(rows) -> list[tuple]:
+    """The path columns of a row stream, in its order."""
+    return [row[2:] for _, row in rows]
+
+
+def _points3() -> list[tuple]:
     # each box reaches one past the largest coordinate a path can have
-    want3 = [point for k1, k2, k3 in VECTORS3 for point in _domain_points(
+    return [point for k1, k2, k3 in VECTORS3 for point in _domain_points(
         dyck._DOMAIN3, {"k1": k1, "k2": k2, "k3": k3}, ("r2", "r3"), k1 + k2 + 1)]
-    assert list(dyck._paths3(VECTORS3)) == want3 == sorted(want3)
-    want4 = [point for k in KS4
-             for point in _domain_points(dyck._DOMAIN4, {"k": k}, ("a", "b", "c"), 3 * k + 1)]
-    assert list(dyck._paths4(KS4)) == want4 == sorted(want4)
+
+
+def _points4() -> list[tuple]:
+    return [point for k in KS4
+            for point in _domain_points(dyck._DOMAIN4, {"k": k}, ("a", "b", "c"), 3 * k + 1)]
+
+
+def test_paths_list_the_points_of_the_domain_rows():
+    want3, want4 = _points3(), _points4()
+    assert _paths(dyck._rows3(VECTORS3)) == want3 == sorted(want3)
+    assert _paths(dyck._rows4(KS4)) == want4 == sorted(want4)
     for k in KS4:
-        assert list(dyck._paths4([k])) == [(p.k, p.a, p.b, p.c) for p in enumerate_paths4(k)]
+        assert _paths(dyck._rows4([k])) == [(p.k, p.a, p.b, p.c) for p in enumerate_paths4(k)]
 
 
 def _row_mismatches(rows, paths: list[tuple], names: tuple[str, ...], table, classify
@@ -435,11 +447,10 @@ def _classify3(k1, k2, k3, r2, r3):
 
 
 def test_row_streams_restate_the_row_tables():
-    paths3 = list(dyck._paths3(VECTORS3))
-    paths4 = list(dyck._paths4(KS4))
+    paths3, paths4 = _points3(), _points4()
     names3, names4 = ("k1", "k2", "k3", "r2", "r3"), ("k", "a", "b", "c")
-    assert _row_mismatches(dyck._rows3(paths3), paths3, names3, dyck._ROW3, _classify3) == []
-    assert _row_mismatches(dyck._rows4(paths4), paths4, names4, dyck._ROW4, _bounce4) == []
+    assert _row_mismatches(dyck._rows3(VECTORS3), paths3, names3, dyck._ROW3, _classify3) == []
+    assert _row_mismatches(dyck._rows4(KS4), paths4, names4, dyck._ROW4, _bounce4) == []
     # negative control: a row table with a wrong area coefficient is caught
     wrong = {**dyck._ROW4, "q": {**dyck._ROW4["q"], "c": -2}}
-    assert _row_mismatches(dyck._rows4(paths4), paths4, names4, wrong, _bounce4)
+    assert _row_mismatches(dyck._rows4(KS4), paths4, names4, wrong, _bounce4)

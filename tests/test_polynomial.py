@@ -29,6 +29,14 @@ def test_vartable_rejects_duplicates():
         VarTable(("q", "q"))
 
 
+@pytest.mark.parametrize("names", ["qt", "q", [1, 2], ("q", 1), ("q", None), ("q", b"t")])
+def test_vartable_rejects_names_that_are_not_strings(names):
+    # a bare string would be split into its letters; a name that is no str
+    # would break rendering
+    with pytest.raises(ValueError, match="iterable of strings"):
+        VarTable(names)
+
+
 def test_vartable_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable"):
         QT.index("z")
@@ -255,6 +263,30 @@ def test_json_rejects_non_integer_terms(term):
 def test_json_rejects_malformed_documents(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SparsePoly.from_json(json.dumps(doc))
+
+
+def test_an_int_compares_as_the_constant_polynomial():
+    q = mono(VarTable(("q",)), {"q": 1})
+    assert 1 - q + q == 1
+    assert 1 == 1 - q + q
+    assert q - q == 0
+    assert 0 == q - q
+    assert SparsePoly.constant(QT, -3) == -3
+    assert q != 1 and 1 != q
+    assert not (q - q != 0)
+
+
+@pytest.mark.parametrize("other", [True, False, 1.0, 0.0, "1", None, (1,)])
+def test_nothing_else_compares_equal(other):
+    # a bool is no number here, as in arithmetic
+    for p in (SparsePoly.one(QT), SparsePoly.zero(QT)):
+        assert p != other and other != p
+
+
+def test_polynomials_stay_unhashable():
+    assert SparsePoly.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(SparsePoly.one(QT))
 
 
 def test_text_and_latex_rendering():
