@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import chain, permutations
-from operator import itemgetter
+from itertools import chain, permutations, starmap
+from operator import attrgetter, itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3,
-                   _bounce4, _check_kvec3, _rows3, _rows4, area4, bounce4, enumerate_paths4)
+                   _bounce4, _check_kvec3, _rows3, _rows4, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -102,9 +102,9 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
 def catalan_poly_k4(k: int) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k^4."""
     # the one sum over enumerate_paths4 objects, whose count the k4_ring
-    # benchmark reads
-    paths = enumerate_paths4(k)
-    return _tally(QT_VARS, QT_VARS, zip(map(area4, paths), map(bounce4, paths)))
+    # benchmark reads; one _bounce4 call per path gives (region, bounce, area)
+    paths = map(attrgetter("k", "a", "b", "c"), enumerate_paths4(k))
+    return _tally(QT_VARS, ("region", "t", "q"), starmap(_bounce4, paths))
 
 
 def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:

@@ -14,8 +14,8 @@ region tables, which define the bounce; :func:`_regions` numbers and labels
 their regions.  :func:`_compile`, the package's one code generator, writes
 straight-line code from a first-match table of rows over floor(row/z)
 symbols; the region tables are lowered into it, each split's overlap check
-being guard cases, and compiled to the path classifiers (a path's bounce
-and region number), which the row streams call once per path; it can
+being guard cases, and compiled to the path classifiers (a path's region
+number, bounce and area), which the row streams call once per path; it can
 also write a loop form that runs the same code for each value of one
 argument, computing what does not depend on it once.  The involution's
 case table is compiled the same way.
@@ -274,12 +274,12 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
     return (namespace[name], namespace[f"{name}_rows"]) if over else namespace[name]
 
 
-def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tuple]
-             ) -> tuple[list[tuple[list[Linear], object]], dict]:
+def _lowered(args: str, point: str, row: Mapping[str, Linear | None], part_cuts: list[Linear],
+             parts: Sequence[tuple]) -> tuple[list[tuple[list[Linear], object]], dict]:
     """A family's part and case tables as a :func:`_compile` table and its
     symbols.  Case j of part i has the rows ``_case(part_cuts, i) +
-    _case(cuts, j)`` and returns (region, bounce), the region as numbered by
-    :func:`_regions` and each ceiling p = ceil(A/z) a symbol of its own,
+    _case(cuts, j)`` and returns (region, bounce, area = row["q"]), the region
+    numbered by :func:`_regions` and each ceiling p = ceil(A/z) a symbol,
     floor((A + z - 1)/z); a table in s reads s = floor(b/2) and r = b - 2s.
     Ahead of a split's cases, a guard case per pair j, m >= j + 2 raises where
     both hold, and a last one where none does."""
@@ -300,18 +300,18 @@ def _lowered(args: str, point: str, part_cuts: list[Linear], parts: Sequence[tup
             for z, a, p in ceilings:
                 symbols[f"{p}{len(table)}"] = ({**a, "const": a.get("const", 0) + z - 1}, z)
                 bounce = {f"{p}{len(table)}" if v == p else v: c for v, c in bounce.items()}
-            table.append((rows[j], (regions[j], bounce)))
+            table.append((rows[j], (regions[j], bounce, row["q"])))
     return table + [([], f"no bounce case holds for {point}({fields})")], symbols
 
 
-# (region, bounce) of a path (r2, r3) for (k1, k2, k3), or (a, b, c) for k^4;
-# _bounce3_rows(k1, k2, r2, r3s, region_append, bounce_append) classifies a
-# row of paths, each r3 of r3s, in one call
-_bounce3, _bounce3_rows = _compile("_bounce3", "k1, k2, r2, r3",
-                                   *_lowered("k1, k2, r2, r3", "Path3", _F_PART_CUTS, _F_PARTS),
-                                   over="r3")
+# (region, bounce, area) of a path (r2, r3) for (k1, k2, k3), or (a, b, c)
+# for k^4; _bounce3_rows(k1, k2, r2, r3s, region_append, bounce_append,
+# area_append) classifies a row of paths, each r3 of r3s, in one call
+_bounce3, _bounce3_rows = _compile(
+    "_bounce3", "k1, k2, r2, r3",
+    *_lowered("k1, k2, r2, r3", "Path3", _ROW3, _F_PART_CUTS, _F_PARTS), over="r3")
 _bounce4 = _compile("_bounce4", "k, a, b, c",
-                    *_lowered("k, a, b, c", "Path4", _H_PART_CUTS, _H_PARTS))
+                    *_lowered("k, a, b, c", "Path4", _ROW4, _H_PART_CUTS, _H_PARTS))
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +321,8 @@ _bounce4 = _compile("_bounce4", "k, a, b, c",
 # meet each path (k1, k2, k3, r2, r3) or (k, a, b, c), a lattice point of
 # _DOMAIN3/4, in the order of enumerate_paths3/4, classify it there by one
 # _bounce3/4 call, and yield (region, row): the region an index into
-# F_REGIONS or H_REGIONS, the row _ROW3/4 at the path, its "t" the bounce.
+# F_REGIONS or H_REGIONS, the row _ROW3/4 at the path, its "q" (the area)
+# and "t" (the bounce) as that call gives them.
 # Every polynomial of catalan, and both path tables of cli, read the rows
 # of one of these streams, catalan's each tallying the columns of its own
 # variables from the rows of its region, or of every region.
@@ -331,8 +332,8 @@ def _rows3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, tuple
     for k1, k2, k3 in vectors:
         for r2 in range(k1 + 1):
             for r3 in range(r2 + k2 + 1):
-                region, bounce = _bounce3(k1, k2, r2, r3)
-                yield region, (r2 + r3, bounce, k1, k2, k3, r2, r3)
+                region, bounce, area = _bounce3(k1, k2, r2, r3)
+                yield region, (area, bounce, k1, k2, k3, r2, r3)
 
 
 def _rows4(ks: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -340,8 +341,8 @@ def _rows4(ks: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
         for a in range(k + 1):
             for b in range(2 * k - a + 1):
                 for c in range(3 * k - a - b + 1):
-                    region, bounce = _bounce4(k, a, b, c)
-                    yield region, (6 * k - 3 * a - 2 * b - c, bounce, k, a, b, c)
+                    region, bounce, area = _bounce4(k, a, b, c)
+                    yield region, (area, bounce, k, a, b, c)
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +442,8 @@ def enumerate_paths3(k: KVec3) -> list[Path3]:
 
 
 def area3(p: Path3) -> int:
-    return p.r2 + p.r3
+    """Sum of red ranks: r2 + r3."""
+    return _bounce3(p.k.k1, p.k.k2, p.r2, p.r3)[2]
 
 
 def bounce3(p: Path3) -> int:
@@ -460,7 +462,7 @@ def _check_runs(name: str, a: int, c: int, b: int, d: int) -> None:
 def area_from_runs(a: int, c: int, b: int, d: int) -> int:
     """Area in run parameters: r2 + r3 = 2a - 2b + c - d."""
     _check_runs("area_from_runs", a, c, b, d)
-    return 2 * a - 2 * b + c - d
+    return _bounce3(a, c, a - b, a - b + c - d)[2]
 
 
 def bounce_from_runs(a: int, c: int, b: int, d: int) -> int:
@@ -518,7 +520,7 @@ def _loop_path4(k: int, a: int, b: int, c: int) -> Path4:
 
 def area4(p: Path4) -> int:
     """Sum of red ranks: 6k - 3a - 2b - c."""
-    return 6 * p.k - 3 * p.a - 2 * p.b - p.c
+    return _bounce4(p.k, p.a, p.b, p.c)[2]
 
 
 def bounce4_case(p: Path4) -> int:

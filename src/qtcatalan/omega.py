@@ -61,6 +61,8 @@ class WeightVector:
         if self.weights is not None and not isinstance(self.weights, Mapping):
             raise ValueError(f"weights must be a mapping of names, got {self.weights!r}")
         if self.weights:
+            if not all(isinstance(n, str) for n in self.weights):
+                raise ValueError(f"weight names must be strings, got {list(self.weights)!r}")
             bad = {n: w for n, w in self.weights.items() if type(w) is not int or w < 0}
             if bad:
                 raise ValueError(f"weights must be nonnegative integers: {bad}")
@@ -288,6 +290,9 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
     and weights are checked, equal term dicts end the comparison; else only
     differing terms are weighed, so operands within the bound go untruncated.
     """
+    for operand in (p, r):
+        if not isinstance(operand, SparsePoly):
+            raise TypeError(f"series_equal takes SparsePolys, got {type(operand).__name__}")
     if p.vars != r.vars:
         raise ValueError(f"variable table mismatch: {p.vars!r} vs {r.vars!r}")
     w = wv.resolve(p.vars.names)
@@ -300,6 +305,17 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
         return SeriesDiff(True)
     key = max(diffs)
     return SeriesDiff(False, key, pt.get(key, 0), rt.get(key, 0))
+
+
+def _check_slice(names: Sequence[str], x_names: Sequence[str], base: Mapping[str, int],
+                 max_x_total: int) -> None:
+    """Raise ValueError unless every x and base name is one of ``names`` and
+    the slice order ``max_x_total`` is a nonnegative integer."""
+    unknown = [n for n in (*x_names, *base) if n not in names]
+    if unknown:
+        raise ValueError(f"slice names unknown variables {unknown} (have {tuple(names)})")
+    if type(max_x_total) is not int or max_x_total < 0:
+        raise ValueError(f"slice order must be a nonnegative integer, got {max_x_total!r}")
 
 
 def slice_weight_vector(oracle: SparsePoly, x_names: Sequence[str],
@@ -315,6 +331,7 @@ def slice_weight_vector(oracle: SparsePoly, x_names: Sequence[str],
     ``max_x_total`` then all fit under the bound, while any term with larger
     x-degree exceeds it.  M < 0 gives a negative bound: ValueError.
     """
+    _check_slice(oracle.vars.names, x_names, base, max_x_total)
     x_set = set(x_names)
     w = [0 if n in x_set else base.get(n, 1) for n in oracle.vars.names]
     m = max(min_m, max((sum(map(mul, w, exps)) for exps in oracle.terms), default=min_m))
@@ -335,6 +352,7 @@ def slice_term_bound(expr: FactoredOmegaExpr, x_names: Sequence[str],
     the oracle happens to contain.
     """
     names = expr.vars.names
+    _check_slice(names, x_names, base, max_x_total)
     x_set = set(x_names)
     base_w = [0 if n in x_set else base.get(n, 1) for n in names]
     x_deg = [1 if n in x_set else 0 for n in names]
@@ -417,7 +435,7 @@ def _closed_form_registry() -> dict:
 def closed_form(form_id: str) -> FactoredOmegaExpr:
     """Closed rational form from the registry, with nothing to eliminate."""
     registry = _closed_form_registry()
-    if form_id not in registry:
+    if not isinstance(form_id, str) or form_id not in registry:
         raise ValueError(f"unknown closed form {form_id!r}; "
                          f"expected one of {tuple(registry)}")
     entry = registry[form_id]

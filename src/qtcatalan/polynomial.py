@@ -302,6 +302,8 @@ class SparsePoly:
         is the polynomial, over the remaining variables, that multiplies the
         specified monomial.
         """
+        if any(type(e) is not int for e in partial.values()):
+            raise ValueError(f"coeff needs int exponents, got {dict(partial)!r}")
         pinned = {self.vars.index(name): e for name, e in partial.items()}
         keep = [i for i in range(len(self.vars)) if i not in pinned]
         out_vars = VarTable(self.vars.names[i] for i in keep)

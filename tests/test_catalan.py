@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from qtcatalan import catalan
+from qtcatalan import catalan, dyck
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, catalan_poly3,
                                catalan_poly_k4, catalan_poly_lambda3,
                                gf_series3, gf_series4, refined_poly3,
@@ -93,6 +93,35 @@ def test_catalan_poly_k4():
     assert p.is_symmetric("q", "t")
     assert p.terms.get((6, 0)) == 1 and p.terms.get((0, 6)) == 1
     assert p.max_degree("q") == 6 and p.max_degree("t") == 6
+
+
+def test_catalan_poly_k4_classifies_each_path_once(monkeypatch):
+    # one _bounce4 call per path gives its bounce and area; the per-path
+    # views area4 and bounce4 are not called
+    calls, views = [], []
+    real = catalan._bounce4
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def view(name):
+        def record(p):
+            views.append(name)
+            return 0
+        return record
+
+    monkeypatch.setattr(catalan, "_bounce4", counting)
+    for name in ("area4", "bounce4"):
+        monkeypatch.setattr(dyck, name, view(name))
+        monkeypatch.setattr(catalan, name, view(name), raising=False)
+    for k in range(7):
+        calls.clear()
+        catalan_poly_k4(k)
+        lattice = sum(3 * k - a - b + 1 for a in range(k + 1) for b in range(2 * k - a + 1))
+        assert len(calls) == lattice == comb(4 * k + 5, 4) // (4 * k + 5)
+        assert calls == [(p.k, p.a, p.b, p.c) for p in enumerate_paths4(k)]
+    assert views == []
 
 
 def test_refined_poly3_collapses_to_plain():

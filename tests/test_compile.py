@@ -64,9 +64,9 @@ def _case_table():
 
 TABLES = {
     "_bounce3": (dyck._bounce3, lambda: ("k1, k2, r2, r3", *dyck._lowered(
-        "k1, k2, r2, r3", "Path3", dyck._F_PART_CUTS, dyck._F_PARTS))),
+        "k1, k2, r2, r3", "Path3", dyck._ROW3, dyck._F_PART_CUTS, dyck._F_PARTS))),
     "_bounce4": (dyck._bounce4, lambda: ("k, a, b, c", *dyck._lowered(
-        "k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS))),
+        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS))),
     "_case": (involution._case, _case_table),
 }
 
@@ -106,33 +106,33 @@ def test_generated_code_only_floors(monkeypatch, name):
 
 
 # name -> (the argument the loop form runs over, the loop form the package
-# uses, or None to compile one here)
+# uses, or None to compile one here, the width of a case's result)
 LOOPS = {
-    "_bounce3": ("r3", dyck._bounce3_rows),
-    "_bounce4": ("c", None),  # hoists the symbols s and r, and reaches a guard
-    "_case": ("d", involution._case_rows),
+    "_bounce3": ("r3", dyck._bounce3_rows, 3),
+    "_bounce4": ("c", None, 3),  # hoists the symbols s and r, and reaches a guard
+    "_case": ("d", involution._case_rows, 2),
 }
 
 
-def _appended(function, names, over, fixed, values):
+def _appended(function, names, over, fixed, values, width):
     """What a loop form over ``over`` would append for ``values`` if it called
     the point form ``function`` per value, and the message it raises, if any."""
-    appended = ([], [])
+    appended = tuple([] for _ in range(width))
     for value in values:
         point = {**fixed, over: value}
         try:
             result = function(*(point[name] for name in names))
         except AssertionError as exc:
             return appended, str(exc)
-        for out, item in zip(appended, result):
+        for out, item in zip(appended, result, strict=True):
             out.append(item)
     return appended, None
 
 
-def _looped(rows, fixed, values):
-    appended = ([], [])
+def _looped(rows, fixed, values, width):
+    appended = tuple([] for _ in range(width))
     try:
-        rows(*fixed.values(), values, appended[0].append, appended[1].append)
+        rows(*fixed.values(), values, *(out.append for out in appended))
     except AssertionError as exc:
         return appended, str(exc)
     return appended, None
@@ -142,7 +142,7 @@ def _looped(rows, fixed, values):
 def test_loop_form_appends_what_the_point_form_returns(name):
     compiled, table = TABLES[name]
     args, cases, symbols = table()
-    over, rows = LOOPS[name]
+    over, rows, width = LOOPS[name]
     if rows is None:
         rows = dyck._compile(name, args, cases, symbols, over=over)[1]
     reference = interpret(args, cases, symbols)
@@ -152,9 +152,10 @@ def test_loop_form_appends_what_the_point_form_returns(name):
     for point in sorted({tuple(p for v, p in zip(names, point) if v != over) for point in BOX}):
         fixed = dict(zip(others, point))
         for values in (range(-3, 6), range(5, -4, -1)):
-            got = _looped(rows, fixed, values)
-            assert got == _appended(compiled, names, over, fixed, values), (fixed, values)
-            assert got == _appended(reference, names, over, fixed, values), (fixed, values)
+            got = _looped(rows, fixed, values, width)
+            want = _appended(compiled, names, over, fixed, values, width)
+            assert got == want, (fixed, values)
+            assert got == _appended(reference, names, over, fixed, values, width), (fixed, values)
             outcomes.append(got)
     if name == "_bounce4":  # a guard raises, after earlier values were appended
         assert any(message and "bounce cases [3, 5] fired" in message and appended[0]

@@ -285,11 +285,12 @@ def test_classifiers_make_no_other_call():
 
 
 def test_a_bounce_table_without_its_last_case_names_the_point():
-    table, symbols = dyck._lowered("k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS)
+    table, symbols = dyck._lowered("k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS,
+                                   dyck._H_PARTS)
     assert table[-1][0] == []  # the rowless case that holds where no other does
     # without P2C3/P3C3, the last case of the s table
     classify = dyck._compile("_bounce4", "k, a, b, c", table[:-2] + table[-1:], symbols)
-    assert classify(1, 1, 0, 0) == _bounce4(1, 1, 0, 0) == (1, 3)
+    assert classify(1, 1, 0, 0) == _bounce4(1, 1, 0, 0) == (1, 3, 3)
     assert _bounce4(1, 0, 0, 0)[0] == 4
     with pytest.raises(AssertionError,
                        match=r"^no bounce case holds for Path4\(k=1, a=0, b=0, c=0\)$"):
@@ -298,7 +299,8 @@ def test_a_bounce_table_without_its_last_case_names_the_point():
 
 def reference_bounce4(k, a, b, c):
     """The eight-branch k^4 bounce, with the odd-b cases 6-8 written out as a
-    second copy of the even-b cases 3-5: (case 1..8, bounce)."""
+    second copy of the even-b cases 3-5, and the area, the sum of the red
+    ranks: (case 1..8, bounce, area)."""
     s = b // 2
     hits = []
     if b >= 2 * k - 2 * a:
@@ -326,21 +328,23 @@ def reference_bounce4(k, a, b, c):
     if len(hits) != 1:
         raise AssertionError(f"bounce cases {[case for case, _ in hits]} fired for "
                              f"Path4(k={k}, a={a}, b={b}, c={c}); expected exactly one")
-    return hits[0]
+    return *hits[0], sum((k - a, 2 * k - a - b, 3 * k - a - b - c))
 
 
 def test_bounce4_matches_the_eight_branch_reference_on_paths():
     # the public views on Path4 objects
     for k in range(13):
         for p in enumerate_paths4(k):
-            assert (bounce4_case(p), bounce4(p)) == reference_bounce4(k, p.a, p.b, p.c), p
+            want = reference_bounce4(k, p.a, p.b, p.c)
+            assert (bounce4_case(p), bounce4(p), area4(p)) == want, p
     # every path with k <= 24, as plain tuples
     for k in range(25):
         for a in range(k + 1):
             for b in range(2 * k - a + 1):
                 for c in range(3 * k - a - b + 1):
-                    region, bounce = _bounce4(k, a, b, c)
-                    assert (region + 1, bounce) == reference_bounce4(k, a, b, c), (k, a, b, c)
+                    region, bounce, area = _bounce4(k, a, b, c)
+                    want = reference_bounce4(k, a, b, c)
+                    assert (region + 1, bounce, area) == want, (k, a, b, c)
 
 
 def test_bounce4_matches_the_eight_branch_reference_off_paths():
@@ -356,19 +360,21 @@ def test_bounce4_matches_the_eight_branch_reference_off_paths():
                 _bounce4(*point)
             assert str(got.value) == str(exc), point
         else:
-            region, bounce = _bounce4(*point)
-            assert (region + 1, bounce) == want, point
+            region, bounce, area = _bounce4(*point)
+            assert (region + 1, bounce, area) == want, point
     assert failures > 0
 
 
-def reference_bounce3(k1: int, k2: int, r2: int, r3: int) -> tuple[int, int]:
-    """(region, bounce) of the path (r2, r3), the region an index into
-    F_REGIONS by the branches taken: P1 when m = k2 < r2, C1 when u >= 2m."""
+def reference_bounce3(k1: int, k2: int, r2: int, r3: int) -> tuple[int, int, int]:
+    """(region, bounce, area) of the path (r2, r3), the region an index into
+    F_REGIONS by the branches taken: P1 when m = k2 < r2, C1 when u >= 2m;
+    the area the sum of the red ranks (0, r2, r3)."""
     part, m = (0, k2) if r2 > k2 else (2, r2)
     u = r2 + k2 - r3
+    area = sum((0, r2, r3))
     if u >= 2 * m:
-        return part, 2 * (k1 - r2) + u - m
-    return part + 1, 2 * (k1 - r2) + ceil_div(u, 2)
+        return part, 2 * (k1 - r2) + u - m, area
+    return part + 1, 2 * (k1 - r2) + ceil_div(u, 2), area
 
 
 def test_bounce3_matches_the_two_branch_reference():
@@ -431,13 +437,14 @@ def test_paths_list_the_points_of_the_domain_rows():
 def _row_mismatches(rows, paths: list[tuple], names: tuple[str, ...], table, classify
                     ) -> list[tuple]:
     """Each (path, got) of the stream ``rows`` of ``paths`` that is not the
-    classifier's region with ``table`` at the path, its "t" the bounce."""
+    classifier's region with ``table`` at the path, its "t" the bounce, or
+    whose classifier's area is not the table's "q"."""
     out = []
     for path, got in zip(paths, rows, strict=True):
         point = dict(zip(names, path))
-        region, bounce = classify(**point)
+        region, bounce, area = classify(**point)
         row = tuple(bounce if f is None else _value(f, point) for f in table.values())
-        if got != (region, row):
+        if got != (region, row) or area != _value(table["q"], point):
             out.append((path, got))
     return out
 

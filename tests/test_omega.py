@@ -113,6 +113,31 @@ def test_weight_vector_rejects_non_integers():
         slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 2.5)
 
 
+@pytest.mark.parametrize("weights", [{1: 2, "z": 1}, {("q",): 1}, {None: 0}])
+def test_weight_vector_rejects_names_that_are_not_strings(weights):
+    # resolve() would sort mixed-type names to report them as unknown
+    with pytest.raises(ValueError, match="weight names must be strings"):
+        WeightVector(3, weights)
+
+
+def test_slice_helpers_reject_unknown_names_and_negative_orders():
+    q_poly = SparsePoly.monomial(VarTable(("q", "t")), {"q": 1})
+    eq1 = closed_form("EQ1")
+    qt = {"q": 1, "t": 1}
+    for call in (lambda: slice_weight_vector(q_poly, ("z",), {}, 2),
+                 lambda: slice_weight_vector(q_poly, ("q",), {"z": 1}, 2),
+                 lambda: slice_term_bound(eq1, ("x1", "x2", "z"), qt, 2),
+                 lambda: slice_term_bound(eq1, X3, {**qt, "z": 1}, 2)):
+        with pytest.raises(ValueError, match=r"unknown variables \['z'\]"):
+            call()
+    for call in (lambda: slice_weight_vector(gf_series3(1), X3, qt, -2),
+                 lambda: slice_term_bound(eq1, X3, qt, -2)):
+        with pytest.raises(ValueError, match="nonnegative integer, got -2"):
+            call()
+    # valid names and orders are unchanged
+    assert slice_term_bound(eq1, X3, qt, 0) >= 0
+
+
 def reference_slice_weight_vector(oracle, x_names, base, max_x_total, min_m=0):
     """slice_weight_vector by its definition: M is the largest base-weighted
     non-x degree of an oracle term, and at least min_m."""
@@ -201,6 +226,14 @@ def test_series_equal_requires_same_vars():
         series_equal(p, p, WeightVector(1, {"t": 1}))
 
 
+@pytest.mark.parametrize("other", [1, None, "q"])
+def test_series_equal_rejects_an_operand_that_is_not_a_polynomial(other):
+    p = SparsePoly.one(VarTable(("q",)))
+    for args in ((p, other), (other, p)):
+        with pytest.raises(TypeError, match=f"got {type(other).__name__}$"):
+            series_equal(*args, WeightVector(1))
+
+
 def test_series_equal_ignores_terms_beyond_bound():
     qt = VarTable(("q", "t"))
     p = SparsePoly(qt, {(0, 0): 1, (5, 0): 9})
@@ -219,6 +252,13 @@ def test_closed_form_registry():
         assert expr.factors
     with pytest.raises(ValueError, match="unknown closed form"):
         closed_form("F13")
+
+
+@pytest.mark.parametrize("form_id", [["EQ1"], ("EQ1",), None, 1])
+def test_closed_form_rejects_an_id_that_is_not_a_string(form_id):
+    # hashable or not, an id that is not a str is unknown
+    with pytest.raises(ValueError, match="unknown closed form"):
+        closed_form(form_id)
 
 
 def test_form_ids_keep_two_digit_numbers_apart():
@@ -347,7 +387,7 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
     cut = dyck._CUTS4[0]
     monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
     rebuilt = dyck._compile("_bounce4", "k, a, b, c", *dyck._lowered(
-        "k, a, b, c", "Path4", dyck._H_PART_CUTS, dyck._H_PARTS))
+        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS))
     monkeypatch.setattr(dyck, "_bounce4", rebuilt)
     catalan._gf_rows.cache_clear()
     try:

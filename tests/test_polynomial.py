@@ -121,6 +121,16 @@ def test_coeff_extraction():
     assert p.coeff({"x": 0}) == SparsePoly.one(VarTable(("q",)))
 
 
+@pytest.mark.parametrize("e", [True, 1.0, "1", None])
+def test_coeff_rejects_an_exponent_that_is_not_an_int(e):
+    # True == 1 and 1.0 == 1 would match the exponent 1, as the constructor
+    # and monomial refuse them
+    p = mono(QT, {"q": 1}) + 1
+    with pytest.raises(ValueError, match="coeff needs int exponents"):
+        p.coeff({"q": e})
+    assert p.coeff({"q": 1}) == SparsePoly.one(VarTable(("t",)))
+
+
 def test_eval_ones():
     qy = VarTable(("q", "t", "y2"))
     p = mono(qy, {"q": 1, "y2": 1}) + mono(qy, {"t": 1, "y2": 2})
