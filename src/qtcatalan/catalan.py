@@ -10,15 +10,16 @@ and H_REGIONS of :mod:`qtcatalan.dyck`.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from functools import lru_cache
-from itertools import chain, permutations, starmap
+from itertools import chain, islice, permutations
 from operator import attrgetter, itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3,
-                   _bounce4, _check_kvec3, _rows3, _rows4, enumerate_paths4)
+                   _bounce4, _bounce4_rows, _check_kvec3, _rows3, _rows4, _runs4,
+                   enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -43,7 +44,12 @@ def region_of_path4(p: Path4) -> str:
 def _tally(names: Sequence[str], columns: Sequence[str],
            rows: Iterable[tuple[int, ...]]) -> SparsePoly:
     """Polynomial over ``names`` counting the rows, whose columns are ``columns``."""
-    terms = Counter(map(itemgetter(*map(columns.index, names)), rows))
+    return _owned(names, Counter(map(itemgetter(*map(columns.index, names)), rows)))
+
+
+def _owned(names: Sequence[str], terms: Counter) -> SparsePoly:
+    """Polynomial over ``names`` with the coefficients ``terms``, keyed by
+    exponent tuples in the order of ``names``."""
     # every exponent is an int path statistic or parameter, never negative,
     # so _owning can skip the constructor's checks
     if terms and min(min(exps) for exps in terms) < 0:
@@ -99,12 +105,25 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
     return _tally(QT_VARS, GF3_REFINED_VARS, _sweep3(vectors, None))
 
 
+# an appender that keeps nothing, for the regions catalan_poly_k4 does not read
+_drop = deque(maxlen=0).append
+
+
 def catalan_poly_k4(k: int) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k^4."""
-    # the one sum over enumerate_paths4 objects, whose count the k4_ring
-    # benchmark reads; one _bounce4 call per path gives (region, bounce, area)
-    paths = map(attrgetter("k", "a", "b", "c"), enumerate_paths4(k))
-    return _tally(QT_VARS, ("region", "t", "q"), starmap(_bounce4, paths))
+    # the one sum over enumerate_paths4 objects: the k4_ring benchmark's
+    # trace counts the paths there, until it counts them through a recorder
+    # (ROADMAP item 14).  Each run (k, a, b) of _runs4 takes the next n of
+    # the objects' c values and is classified in one _bounce4_rows call; a
+    # run is tallied before the next, so no list outgrows one run
+    cs = map(attrgetter("c"), enumerate_paths4(k))
+    terms, bounces, areas = Counter(), [], []
+    for a, b, n in _runs4(k):
+        _bounce4_rows(k, a, b, islice(cs, n), _drop, bounces.append, areas.append)
+        terms.update(zip(areas, bounces))
+        bounces.clear()
+        areas.clear()
+    return _owned(QT_VARS, terms)
 
 
 def refined_poly3(k: KVec3, region: str | None = None) -> SparsePoly:

@@ -5,7 +5,9 @@ A path for a vector (k1, k2, k3) is determined by its red ranks
 can be described by run parameters (b, d): b down-steps after the first
 up-run and d after the second, with r2 = a - b and r3 = a - b + c - d for
 (a, c, e) = (k1, k2, k3).  A path for k^4 is determined by run parameters
-(a, b, c) with 0 <= a <= k, 0 <= b <= 2k - a, 0 <= c <= 3k - a - b.
+(a, b, c) with 0 <= a <= k, 0 <= b <= 2k - a, 0 <= c <= 3k - a - b.  These
+paths fall into runs (k, a, b) of consecutive c, listed once by
+:func:`_runs4`, which the enumeration and the row stream both follow.
 
 The statistics are area (sum of red ranks) and bounce, neither depending on
 the last vector component.  Each family's path model, which omega's crude
@@ -17,14 +19,16 @@ symbols; the region tables are lowered into it, each split's overlap check
 being guard cases, and compiled to the path classifiers (a path's region
 number, bounce and area), which the row streams call once per path; it can
 also write a loop form that runs the same code for each value of one
-argument, computing what does not depend on it once.  The involution's
-case table is compiled the same way.
+argument, computing what does not depend on it once, as ``_bounce4_rows``
+classifies a whole run of k^4 paths.  The involution's case table is
+compiled the same way.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -306,12 +310,20 @@ def _lowered(args: str, point: str, row: Mapping[str, Linear | None], part_cuts:
 
 # (region, bounce, area) of a path (r2, r3) for (k1, k2, k3), or (a, b, c)
 # for k^4; _bounce3_rows(k1, k2, r2, r3s, region_append, bounce_append,
-# area_append) classifies a row of paths, each r3 of r3s, in one call
+# area_append) classifies a row of paths, each r3 of r3s, in one call, and
+# _bounce4_rows(k, a, b, cs, ...) a run of k^4 paths, each c of cs
 _bounce3, _bounce3_rows = _compile(
     "_bounce3", "k1, k2, r2, r3",
     *_lowered("k1, k2, r2, r3", "Path3", _ROW3, _F_PART_CUTS, _F_PARTS), over="r3")
-_bounce4 = _compile("_bounce4", "k, a, b, c",
-                    *_lowered("k, a, b, c", "Path4", _ROW4, _H_PART_CUTS, _H_PARTS))
+_bounce4, _bounce4_rows = _compile(
+    "_bounce4", "k, a, b, c",
+    *_lowered("k, a, b, c", "Path4", _ROW4, _H_PART_CUTS, _H_PARTS), over="c")
+
+
+def _runs4(k: int) -> list[tuple[int, int, int]]:
+    """The runs of the k^4 paths in lexicographic order: (a, b, n) for the
+    n = 3k - a - b + 1 paths (k, a, b, c), c < n, of _DOMAIN4."""
+    return [(a, b, 3 * k - a - b + 1) for a in range(k + 1) for b in range(2 * k - a + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -338,11 +350,10 @@ def _rows3(vectors: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, tuple
 
 def _rows4(ks: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     for k in ks:
-        for a in range(k + 1):
-            for b in range(2 * k - a + 1):
-                for c in range(3 * k - a - b + 1):
-                    region, bounce, area = _bounce4(k, a, b, c)
-                    yield region, (area, bounce, k, a, b, c)
+        for a, b, n in _runs4(k):
+            for c in range(n):
+                region, bounce, area = _bounce4(k, a, b, c)
+                yield region, (area, bounce, k, a, b, c)
 
 
 # ----------------------------------------------------------------------
@@ -495,27 +506,22 @@ def enumerate_paths4(k: int) -> list[Path4]:
     """All paths for k^4, ordered lexicographically by (a, b, c)."""
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    return [_loop_path4(k, a, b, c)
-            for a in range(k + 1)
-            for b in range(2 * k - a + 1)
-            for c in range(3 * k - a - b + 1)]
+    # built a column at a time, with no Python call per path and without
+    # __post_init__: the runs of _runs4 already make each path valid
+    as_, bs, lengths = zip(*_runs4(k))
+    paths = list(map(object.__new__, repeat(Path4, sum(lengths))))
+    _drain(map(_set_k, paths, repeat(k)))
+    _drain(map(_set_a, paths, chain.from_iterable(map(repeat, as_, lengths))))
+    _drain(map(_set_b, paths, chain.from_iterable(map(repeat, bs, lengths))))
+    _drain(map(_set_c, paths, chain.from_iterable(map(range, lengths))))
+    return paths
 
 
-_new = object.__new__
 # the slots' member descriptors, bound once: a write through one skips the
 # frozen __setattr__ and the lookup of the attribute by name
 _set_k, _set_a, _set_b, _set_c = (Path4.__dict__[name].__set__ for name in "kabc")
-
-
-def _loop_path4(k: int, a: int, b: int, c: int) -> Path4:
-    """The Path4 (k, a, b, c), built without ``__post_init__``: the loop
-    bounds of :func:`enumerate_paths4` already make it valid."""
-    p = _new(Path4)
-    _set_k(p, k)
-    _set_a(p, a)
-    _set_b(p, b)
-    _set_c(p, c)
-    return p
+# runs an iterator to its end in C, keeping nothing
+_drain = deque(maxlen=0).extend
 
 
 def area4(p: Path4) -> int:

@@ -309,8 +309,11 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
 
 def _check_slice(names: Sequence[str], x_names: Sequence[str], base: Mapping[str, int],
                  max_x_total: int) -> None:
-    """Raise ValueError unless every x and base name is one of ``names`` and
-    the slice order ``max_x_total`` is a nonnegative integer."""
+    """Raise ValueError unless ``x_names`` is no bare string, every x and
+    base name is one of ``names`` and the slice order ``max_x_total`` is a
+    nonnegative integer."""
+    if isinstance(x_names, str):  # else read as one-letter names
+        raise ValueError(f"x names must be an iterable of strings, got {x_names!r}")
     unknown = [n for n in (*x_names, *base) if n not in names]
     if unknown:
         raise ValueError(f"slice names unknown variables {unknown} (have {tuple(names)})")

@@ -315,6 +315,8 @@ class SparsePoly:
 
     def eval_ones(self, names: Iterable[str]) -> "SparsePoly":
         """Substitute 1 for each named variable; result is over the rest."""
+        if isinstance(names, str):  # else read as one-letter names
+            raise ValueError(f"variable names must be an iterable of strings, got {names!r}")
         drop = {self.vars.index(name) for name in names}
         keep = [i for i in range(len(self.vars)) if i not in drop]
         out_vars = VarTable(self.vars.names[i] for i in keep)

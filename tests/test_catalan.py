@@ -96,14 +96,16 @@ def test_catalan_poly_k4():
 
 
 def test_catalan_poly_k4_classifies_each_path_once(monkeypatch):
-    # one _bounce4 call per path gives its bounce and area; the per-path
+    # one _bounce4_rows call per run (k, a, b) of _runs4 classifies that
+    # run's paths, each once, in the order of enumerate_paths4; the per-path
     # views area4 and bounce4 are not called
     calls, views = [], []
-    real = catalan._bounce4
+    real = catalan._bounce4_rows
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(k, a, b, cs, *appenders):
+        cs = list(cs)
+        calls.append((k, a, b, cs))
+        return real(k, a, b, cs, *appenders)
 
     def view(name):
         def record(p):
@@ -111,16 +113,18 @@ def test_catalan_poly_k4_classifies_each_path_once(monkeypatch):
             return 0
         return record
 
-    monkeypatch.setattr(catalan, "_bounce4", counting)
+    monkeypatch.setattr(catalan, "_bounce4_rows", recording)
     for name in ("area4", "bounce4"):
         monkeypatch.setattr(dyck, name, view(name))
         monkeypatch.setattr(catalan, name, view(name), raising=False)
     for k in range(7):
         calls.clear()
         catalan_poly_k4(k)
+        assert [(k, a, b) for a, b, _ in dyck._runs4(k)] == [call[:3] for call in calls]
+        points = [(k, a, b, c) for k, a, b, cs in calls for c in cs]
         lattice = sum(3 * k - a - b + 1 for a in range(k + 1) for b in range(2 * k - a + 1))
-        assert len(calls) == lattice == comb(4 * k + 5, 4) // (4 * k + 5)
-        assert calls == [(p.k, p.a, p.b, p.c) for p in enumerate_paths4(k)]
+        assert len(points) == lattice == comb(4 * k + 5, 4) // (4 * k + 5)
+        assert points == [(p.k, p.a, p.b, p.c) for p in enumerate_paths4(k)]
     assert views == []
 
 

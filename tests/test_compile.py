@@ -106,10 +106,10 @@ def test_generated_code_only_floors(monkeypatch, name):
 
 
 # name -> (the argument the loop form runs over, the loop form the package
-# uses, or None to compile one here, the width of a case's result)
+# uses, the width of a case's result)
 LOOPS = {
     "_bounce3": ("r3", dyck._bounce3_rows, 3),
-    "_bounce4": ("c", None, 3),  # hoists the symbols s and r, and reaches a guard
+    "_bounce4": ("c", dyck._bounce4_rows, 3),  # hoists the symbols s and r, reaches a guard
     "_case": ("d", involution._case_rows, 2),
 }
 
@@ -143,8 +143,6 @@ def test_loop_form_appends_what_the_point_form_returns(name):
     compiled, table = TABLES[name]
     args, cases, symbols = table()
     over, rows, width = LOOPS[name]
-    if rows is None:
-        rows = dyck._compile(name, args, cases, symbols, over=over)[1]
     reference = interpret(args, cases, symbols)
     names = args.split(", ")
     others = [v for v in names if v != over]

@@ -138,6 +138,19 @@ def test_slice_helpers_reject_unknown_names_and_negative_orders():
     assert slice_term_bound(eq1, X3, qt, 0) >= 0
 
 
+def test_slice_helpers_reject_a_bare_string_of_x_names():
+    # a bare string would be read as one-letter names: "xx" as x twice, and
+    # "x1" as the unknown x and 1
+    series, eq1, qt = gf_series4(2), closed_form("EQ1"), {"q": 1, "t": 1}
+    for call in (lambda: slice_weight_vector(series, "xx", qt, 2),
+                 lambda: slice_weight_vector(series, "x", qt, 2),
+                 lambda: slice_weight_vector(gf_series3(1), "x1", qt, 2),
+                 lambda: slice_term_bound(eq1, "x1", qt, 2)):
+        with pytest.raises(ValueError, match="x names must be an iterable of strings"):
+            call()
+    assert slice_weight_vector(series, ("x",), qt, 2) == slice_weight_vector(series, ["x"], qt, 2)
+
+
 def reference_slice_weight_vector(oracle, x_names, base, max_x_total, min_m=0):
     """slice_weight_vector by its definition: M is the largest base-weighted
     non-x degree of an oracle term, and at least min_m."""

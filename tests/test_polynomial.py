@@ -141,6 +141,16 @@ def test_eval_ones():
     assert not p2.eval_ones(["y2"])
 
 
+def test_eval_ones_rejects_a_bare_string():
+    # a bare string would be read as one-letter names: "qt" as q and t,
+    # "y2" as the unknown y and 2
+    p = mono(VarTable(("q", "t", "y2")), {"q": 1, "y2": 1})
+    for names in ("qt", "y2", "q"):
+        with pytest.raises(ValueError, match="iterable of strings"):
+            p.eval_ones(names)
+    assert p.eval_ones(("y2",)) == p.eval_ones(["y2"]) == mono(QT, {"q": 1})
+
+
 def test_constant_value():
     p = SparsePoly.constant(QT, 5) + mono(QT, {"q": 2})
     assert p.constant_value() == 5
