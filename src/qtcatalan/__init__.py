@@ -22,9 +22,7 @@ from .involution import (CASE_EXCHANGE, InvolutionReport, apply_involution,
                          phi, psi, verify_involution)
 from .omega import (EliminationSpec, FactoredOmegaExpr, SeriesDiff, WeightVector,
                     build_crude_F, build_crude_H, closed_form,
-                    expand_truncated, series_equal, slice_term_bound,
-                    slice_weight_vector,
-                    truncate_weighted, F_BASE_WEIGHTS, H_BASE_WEIGHTS,
+                    expand_truncated, series_equal, truncate_weighted,
                     CLOSED_FORM_IDS)
 
 __version__ = "0.1.0"

@@ -156,8 +156,8 @@ _COMPLEMENT = {">=": "<", "<": ">="}
 
 
 def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
-             symbols: Mapping[str, tuple[Linear, int]], over: str | None = None
-             ) -> Callable | tuple[Callable, Callable]:
+             symbols: Mapping[str, tuple[Linear, int]], over: str
+             ) -> tuple[Callable, Callable]:
     """Compile ``name(args)`` from a first-match table as straight-line code.
 
     A case (rows, result) holds where its rows hold and no earlier case's
@@ -169,12 +169,12 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
     Cases sharing their next test share an ``if``, a test known to hold is
     left out, and a symbol is computed where a path first needs it.
 
-    With ``over``, one of the arguments, the pair (``name``, loop form) is
-    returned.  The loop form ``{name}_rows(<the other arguments>, values,
-    *appenders)`` runs the same tree for ``over`` = each of ``values`` in one
-    loop, gives each item of a case's result to its own appender and goes on
-    with the next value, and raises what ``name`` raises; every test and
-    symbol that does not read ``over`` is computed once, before the loop."""
+    Returns the pair (``name``, loop form).  The loop form
+    ``{name}_rows(<the other arguments>, values, *appenders)`` runs the same
+    tree for the argument ``over`` = each of ``values`` in one loop, gives
+    each item of a case's result to its own appender and goes on with the
+    next value, and raises what ``name`` raises; every test and symbol that
+    does not read ``over`` is computed once, before the loop."""
     cuts: list[Linear] = []
     found: dict[frozenset, tuple[int, str]] = {}  # a row's terms -> (j, op)
 
@@ -266,16 +266,15 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
     loop, before, hoisted = False, [], {}
     lines = [f"def {name}({args}):"]
     emit(table, 0, "    ", set(), set())
-    if over:
-        point, loop = lines, True
-        width = next(len(r) for _, r in cases if isinstance(r, tuple))
-        head = [v for v in args.split(", ") if v != over] + ["values"]
-        head += [f"_append{i}" for i in range(width)]
-        lines = [f"    for {over} in values:"]
-        emit(table, 0, "        ", set(), set())
-        lines = [*point, f"def {name}_rows({', '.join(head)}):", *before, *lines]
+    point, loop = lines, True
+    width = next(len(r) for _, r in cases if isinstance(r, tuple))
+    head = [v for v in args.split(", ") if v != over] + ["values"]
+    head += [f"_append{i}" for i in range(width)]
+    lines = [f"    for {over} in values:"]
+    emit(table, 0, "        ", set(), set())
+    lines = [*point, f"def {name}_rows({', '.join(head)}):", *before, *lines]
     exec(compile("\n".join(lines), f"<generated {name}>", "exec"), {}, namespace := {})
-    return (namespace[name], namespace[f"{name}_rows"]) if over else namespace[name]
+    return namespace[name], namespace[f"{name}_rows"]
 
 
 def _lowered(args: str, point: str, row: Mapping[str, Linear | None], part_cuts: list[Linear],

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from itertools import product
+from math import inf
 from operator import add, itemgetter, mul
 from typing import Mapping, Sequence
 
@@ -132,50 +133,52 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     that variable's mode; a variable no factor touches is checked on the
     numerator term.  A leaf reads its key with one ``itemgetter`` call.
 
-    Raises ValueError if any factor has nonpositive retained weight (the
-    expansion would not terminate).
+    A factor of positive weight is bounded by what is left of wv.bound.  A
+    factor of weight 0 is accepted where an eliminated variable settled
+    there bounds its multiplicity from above: a ``zero`` one, or a
+    ``nonneg`` one with a negative coefficient.  So a crude form, whose
+    x-free summation variables are each capped by a domain or mu row at
+    their last factor, expands on the exact slice of total x-degree <= N
+    under weight 1 on each x and 0 elsewhere.
+
+    Raises ValueError, before any search, if a factor has negative weight,
+    or weight 0 and no such cap (the expansion would not terminate).
     """
     names = expr.vars.names
-    n_all = len(names)
     retained = expr.retained_names
-    ret_weights = wv.resolve(retained)
-    wmap = dict(zip(retained, ret_weights))
+    wmap = dict(zip(retained, wv.resolve(retained)))
     w_full = [wmap.get(n, 0) for n in names]
-
     factors = expr.factors
-    fwt = []
-    for f in factors:
-        w = sum(w_full[i] * f[i] for i in range(n_all))
-        if w <= 0:
-            desc = {names[i]: f[i] for i in range(n_all) if f[i]}
-            raise ValueError(f"factor {desc} has nonpositive weight {w}; "
-                             f"expansion would not terminate")
-        fwt.append(w)
-    if not expr.elim:
-        return SparsePoly._owning(expr.retained_vars(), _expand_geometric(
-            expr.numerator, factors, fwt, w_full, wv.bound))
-
-    ret_idx = [i for i, n in enumerate(names) if n not in expr.elim]
-    elim_info = [(i, expr.elim[n]) for i, n in enumerate(names) if n in expr.elim]
-    fexps = [tuple((i, c) for i, c in enumerate(f) if c) for f in factors]
-    nf = len(factors)
+    fwt = [sum(map(mul, w_full, f)) for f in factors]
 
     # An eliminated variable's exponent is final once its last touching
     # factor has its multiplicity n: with exponent v and coefficient c,
     # ``zero`` forces v + n*c == 0, and ``nonneg`` gives v + n*c >= 0, a
     # lower bound on n if c > 0 and an upper one if c < 0.
-    settle: list[list[tuple[int, bool, int]]] = [[] for _ in range(nf)]
+    settle: list[list[tuple[int, bool, int]]] = [[] for _ in factors]
     untouched = []
-    for ie, mode in elim_info:
-        touching = [j for j in range(nf) if factors[j][ie]]
-        if touching:
-            last = touching[-1]
-            settle[last].append((ie, mode == MODE_ZERO, factors[last][ie]))
-        else:
-            untouched.append((ie, mode == MODE_ZERO))
+    for ie, n in enumerate(names):
+        if n in expr.elim:
+            is_zero = expr.elim[n] == MODE_ZERO
+            touching = [j for j, f in enumerate(factors) if f[ie]]
+            if touching:
+                settle[touching[-1]].append((ie, is_zero, factors[touching[-1]][ie]))
+            else:
+                untouched.append((ie, is_zero))
+    for f, w, settled in zip(factors, fwt, settle):
+        if w < 0 or w == 0 and not any(is_zero or c < 0 for _, is_zero, c in settled):
+            desc = {names[i]: e for i, e in enumerate(f) if e}
+            raise ValueError(f"factor {desc} has nonpositive weight {w}; "
+                             f"expansion would not terminate")
+    if not expr.elim:
+        return SparsePoly._owning(expr.retained_vars(), _expand_geometric(
+            expr.numerator, factors, fwt, w_full, wv.bound))
 
+    ret_idx = [i for i, n in enumerate(names) if n not in expr.elim]
+    fexps = [tuple((i, c) for i, c in enumerate(f) if c) for f in factors]
+    nf = len(factors)
     acc: dict[tuple[int, ...], int] = {}
-    cur = [0] * n_all
+    cur = [0] * len(names)
     # itemgetter returns a bare item for one index and takes no empty
     # index list, so those keys are built as tuples
     retained_of = (itemgetter(*ret_idx) if len(ret_idx) > 1
@@ -187,7 +190,8 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
             acc[key] = acc.get(key, 0) + sign
             return
         wt = fwt[j]
-        lo, hi = 0, rem // wt
+        # a factor of weight 0 is capped by a variable settled at it
+        lo, hi = 0, rem // wt if wt else inf
         for ie, is_zero, c in settle[j]:
             v = cur[ie]
             if is_zero:
@@ -220,12 +224,10 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
         # a variable no factor touches is settled by the numerator term
         if any(mono[ie] if is_zero else mono[ie] < 0 for ie, is_zero in untouched):
             continue
-        mw = sum(w_full[i] * mono[i] for i in range(n_all))
-        rem = wv.bound - mw
+        rem = wv.bound - sum(map(mul, w_full, mono))
         if rem < 0:
             continue
-        for i in range(n_all):
-            cur[i] = mono[i]
+        cur[:] = mono
         rec(0, rem, coeff)
     # rec refers to itself; without this the cycle would keep acc, the
     # result's terms, alive until the cyclic GC next runs
@@ -307,80 +309,8 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
     return SeriesDiff(False, key, pt.get(key, 0), rt.get(key, 0))
 
 
-def _check_slice(names: Sequence[str], x_names: Sequence[str], base: Mapping[str, int],
-                 max_x_total: int) -> None:
-    """Raise ValueError unless ``x_names`` is no bare string, every x and
-    base name is one of ``names`` and the slice order ``max_x_total`` is a
-    nonnegative integer."""
-    if isinstance(x_names, str):  # else read as one-letter names
-        raise ValueError(f"x names must be an iterable of strings, got {x_names!r}")
-    unknown = [n for n in (*x_names, *base) if n not in names]
-    if unknown:
-        raise ValueError(f"slice names unknown variables {unknown} (have {tuple(names)})")
-    if type(max_x_total) is not int or max_x_total < 0:
-        raise ValueError(f"slice order must be a nonnegative integer, got {max_x_total!r}")
-
-
-def slice_weight_vector(oracle: SparsePoly, x_names: Sequence[str],
-                        base: Mapping[str, int], max_x_total: int,
-                        min_m: int = 0) -> WeightVector:
-    """Weight vector whose truncation set is exactly an x-degree slice.
-
-    ``oracle`` must contain every term with total x-degree <= ``max_x_total``
-    of the series under test.  The non-x variables get the ``base`` weights;
-    the x variables get M+1 where M is the largest base-weighted degree any
-    oracle term carries outside the x's (at least ``min_m``; the base weights
-    dotted with 0 at the x's).  Terms with total x-degree at most
-    ``max_x_total`` then all fit under the bound, while any term with larger
-    x-degree exceeds it.  M < 0 gives a negative bound: ValueError.
-    """
-    _check_slice(oracle.vars.names, x_names, base, max_x_total)
-    x_set = set(x_names)
-    w = [0 if n in x_set else base.get(n, 1) for n in oracle.vars.names]
-    m = max(min_m, max((sum(map(mul, w, exps)) for exps in oracle.terms), default=min_m))
-    weights = dict(base)
-    for x in x_names:
-        weights[x] = m + 1
-    return WeightVector(bound=max_x_total * (m + 1) + m, weights=weights)
-
-
-def slice_term_bound(expr: FactoredOmegaExpr, x_names: Sequence[str],
-                     base: Mapping[str, int], max_x_total: int) -> int:
-    """Largest base-weighted non-x degree a slice term of ``expr`` can have.
-
-    Requires every factor to carry positive total x-degree, so a term of
-    total x-degree <= ``max_x_total`` uses at most that many factor copies.
-    Passing the result as ``min_m`` to :func:`slice_weight_vector` makes a
-    slice comparison against ``expr`` complete rather than bounded by what
-    the oracle happens to contain.
-    """
-    names = expr.vars.names
-    _check_slice(names, x_names, base, max_x_total)
-    x_set = set(x_names)
-    base_w = [0 if n in x_set else base.get(n, 1) for n in names]
-    x_deg = [1 if n in x_set else 0 for n in names]
-
-    def qty(mono):
-        return sum(w * e for w, e in zip(base_w, mono))
-
-    worst = 0
-    for mono in expr.factors:
-        if sum(d * e for d, e in zip(x_deg, mono)) <= 0:
-            raise ValueError("factor without x content; slice bound unavailable")
-        worst = max(worst, qty(mono))
-    num = max((qty(mono) for _, mono in expr.numerator), default=0)
-    return max_x_total * worst + max(0, num)
-
-
 # ----------------------------------------------------------------------
 # crude generating functions from constraint systems
-
-# Base weights under which every crude factor has positive weight; the
-# default all-ones vector gives e.g. the P1C2 r2-factor (q y2 / t^2)
-# weight zero, so the y variables are weighted 2.
-F_BASE_WEIGHTS = {"q": 1, "t": 1, "y2": 2, "y3": 2}
-H_BASE_WEIGHTS = {"q": 1, "t": 1, "y2": 2, "y3": 2, "y4": 2}
-
 
 def _crude(row: Mapping[str, Linear | None], domain: list[Linear], part_cuts: list[Linear],
            parts: Sequence[tuple], region: str) -> FactoredOmegaExpr:
@@ -486,8 +416,8 @@ def check_gf_section(section: str, max_order: int
     or a product identity, "EQ1" or "EQ2".  A region compares its crude form
     with its closed form, then its closed form with the refined path sum of
     the region; an identity compares its product form with the plain path
-    sum.  ``min_m`` comes from :func:`slice_term_bound` on the closed form,
-    so every slice term of the closed form is compared.
+    sum.  Each x has weight 1 and every other variable 0, so each side is
+    expanded, and compared, on exactly that slice, whatever the others hold.
 
     Returns the named comparisons in that order and the number of terms in
     the path sum.
@@ -496,18 +426,11 @@ def check_gf_section(section: str, max_order: int
         raise ValueError(f"unknown section {section!r}; expected one of {GF_SECTIONS}")
     family, _, region = section.partition(" ")
     three = family in ("F", "EQ1")
-    series = gf_series3 if three else gf_series4
+    oracle = (gf_series3 if three else gf_series4)(max_order, region=region or None,
+                                                    refined=bool(region))
     x_names = ("x1", "x2", "x3") if three else ("x",)
-    form = closed_form(_SECTION_IDS[section])
-    if region:
-        oracle = series(max_order, region=region, refined=True)
-        base = F_BASE_WEIGHTS if three else H_BASE_WEIGHTS
-    else:
-        oracle = series(max_order)
-        base = {"q": 1, "t": 1}
-    wv = slice_weight_vector(oracle, x_names, base, max_order,
-                             min_m=slice_term_bound(form, x_names, base, max_order))
-    closed = expand_truncated(form, wv)
+    wv = WeightVector(max_order, {n: int(n in x_names) for n in oracle.vars.names})
+    closed = expand_truncated(closed_form(_SECTION_IDS[section]), wv)
     if not region:
         return [(section, series_equal(closed, oracle, wv))], len(oracle.terms)
     crude = expand_truncated((build_crude_F if three else build_crude_H)(region), wv)

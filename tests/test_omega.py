@@ -8,14 +8,17 @@ from qtcatalan import catalan, dyck, omega
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, gf_series3, gf_series4,
                                refined_poly3)
 from qtcatalan.dyck import KVec3
-from qtcatalan.omega import (CLOSED_FORM_IDS, F_BASE_WEIGHTS, H_BASE_WEIGHTS,
-                             FactoredOmegaExpr, WeightVector, build_crude_F,
-                             build_crude_H, check_gf_section, closed_form,
-                             expand_truncated, series_equal, slice_term_bound,
-                             slice_weight_vector, truncate_weighted)
+from qtcatalan.omega import (CLOSED_FORM_IDS, FactoredOmegaExpr, WeightVector,
+                             build_crude_F, build_crude_H, check_gf_section,
+                             closed_form, expand_truncated, series_equal,
+                             truncate_weighted)
 from qtcatalan.polynomial import SparsePoly, VarTable
 
-X3 = ("x1", "x2", "x3")
+
+def x_slice(names, order):
+    """Weight 1 on each x and 0 on every other variable: the truncation set
+    is the slice of total x-degree <= ``order``."""
+    return WeightVector(order, {n: int(n.startswith("x")) for n in names})
 
 
 def geometric(names, factor_exps, elim=None, numerator=None):
@@ -34,9 +37,8 @@ def test_single_lambda_geometric():
 def test_expand_truncated_leaves_no_garbage_cycle():
     # the result must be freed by reference counting alone, not held in a
     # cycle until the cyclic GC runs
-    oracle = gf_series3(3, region="P1C1", refined=True)
-    wv = slice_weight_vector(oracle, X3, F_BASE_WEIGHTS, 3)
     forms = (build_crude_F("P1C1"), closed_form("F11"))
+    wv = x_slice(forms[1].vars.names, 3)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -108,9 +110,8 @@ def test_weight_vector_rejects_non_integers():
     for bad in ([1, 2], [], ("q", 1), "q"):
         with pytest.raises(ValueError, match="mapping"):
             WeightVector(3, bad)
-    oracle = gf_series3(1)
     with pytest.raises(ValueError, match="nonnegative integer"):
-        slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 2.5)
+        check_gf_section("EQ1", 2.5)
 
 
 @pytest.mark.parametrize("weights", [{1: 2, "z": 1}, {("q",): 1}, {None: 0}])
@@ -120,64 +121,30 @@ def test_weight_vector_rejects_names_that_are_not_strings(weights):
         WeightVector(3, weights)
 
 
-def test_slice_helpers_reject_unknown_names_and_negative_orders():
-    q_poly = SparsePoly.monomial(VarTable(("q", "t")), {"q": 1})
-    eq1 = closed_form("EQ1")
-    qt = {"q": 1, "t": 1}
-    for call in (lambda: slice_weight_vector(q_poly, ("z",), {}, 2),
-                 lambda: slice_weight_vector(q_poly, ("q",), {"z": 1}, 2),
-                 lambda: slice_term_bound(eq1, ("x1", "x2", "z"), qt, 2),
-                 lambda: slice_term_bound(eq1, X3, {**qt, "z": 1}, 2)):
-        with pytest.raises(ValueError, match=r"unknown variables \['z'\]"):
-            call()
-    for call in (lambda: slice_weight_vector(gf_series3(1), X3, qt, -2),
-                 lambda: slice_term_bound(eq1, X3, qt, -2)):
-        with pytest.raises(ValueError, match="nonnegative integer, got -2"):
-            call()
-    # valid names and orders are unchanged
-    assert slice_term_bound(eq1, X3, qt, 0) >= 0
-
-
-def test_slice_helpers_reject_a_bare_string_of_x_names():
-    # a bare string would be read as one-letter names: "xx" as x twice, and
-    # "x1" as the unknown x and 1
-    series, eq1, qt = gf_series4(2), closed_form("EQ1"), {"q": 1, "t": 1}
-    for call in (lambda: slice_weight_vector(series, "xx", qt, 2),
-                 lambda: slice_weight_vector(series, "x", qt, 2),
-                 lambda: slice_weight_vector(gf_series3(1), "x1", qt, 2),
-                 lambda: slice_term_bound(eq1, "x1", qt, 2)):
-        with pytest.raises(ValueError, match="x names must be an iterable of strings"):
-            call()
-    assert slice_weight_vector(series, ("x",), qt, 2) == slice_weight_vector(series, ["x"], qt, 2)
-
-
-def reference_slice_weight_vector(oracle, x_names, base, max_x_total, min_m=0):
-    """slice_weight_vector by its definition: M is the largest base-weighted
-    non-x degree of an oracle term, and at least min_m."""
-    m = min_m
-    for exps in oracle.terms:
-        m = max(m, sum(base.get(n, 1) * e for n, e in zip(oracle.vars.names, exps)
-                       if n not in x_names))
-    return WeightVector(max_x_total * (m + 1) + m, {**base, **dict.fromkeys(x_names, m + 1)})
-
-
 @pytest.mark.parametrize("section", omega.GF_SECTIONS)
-def test_slice_weight_vector_matches_its_definition(section):
+def test_slice_weight_vector_matches_its_definition(monkeypatch, section):
+    # every weight vector check_gf_section expands and compares with is the
+    # x-slice of its variables, and keeps exactly the path-sum terms of
+    # total x-degree <= the order
+    seen = []
+
+    def capture(fn):
+        def wrapper(*args):
+            seen.append(args[-1])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(omega, "expand_truncated", capture(expand_truncated))
+    monkeypatch.setattr(omega, "series_equal", capture(series_equal))
+    _, terms = check_gf_section(section, 4)
     family, _, region = section.partition(" ")
-    three = family in ("F", "EQ1")
-    x_names = X3 if three else ("x",)
-    base = (F_BASE_WEIGHTS if three else H_BASE_WEIGHTS) if region else {"q": 1, "t": 1}
-    oracle = (gf_series3 if three else gf_series4)(4, region=region or None,
-                                                    refined=bool(region))
-    empty = SparsePoly(oracle.vars, {})
-    for poly in (oracle, empty):
-        for min_m in (0, 3, slice_term_bound(closed_form(omega._SECTION_IDS[section]),
-                                             x_names, base, 4)):
-            assert (slice_weight_vector(poly, x_names, base, 4, min_m)
-                    == reference_slice_weight_vector(poly, x_names, base, 4, min_m))
-    # M = -1 on an empty oracle gives the bound -1
-    with pytest.raises(ValueError, match="nonnegative integer, got -1"):
-        slice_weight_vector(empty, x_names, base, 4, min_m=-1)
+    series = gf_series3 if family in ("F", "EQ1") else gf_series4
+    wider = series(5, region=region or None, refined=bool(region))
+    assert len(seen) == (4 if region else 2)
+    assert all(wv == x_slice(wider.vars.names, 4) for wv in seen)
+    kept = truncate_weighted(wider, seen[0])
+    assert len(kept.terms) == terms < len(wider.terms)
+    assert kept == series(4, region=region or None, refined=bool(region))
 
 
 def test_expr_rejects_a_non_integer_coefficient():
@@ -311,7 +278,7 @@ def test_closed_expansion_matches_the_search(monkeypatch, section):
         got = expand_truncated(form, wv).terms
         assert got == expand_truncated(forcing_search(form), wv).terms, order
         if order:
-            # negative control: one factor exponent (q, weight 1) moved
+            # negative control: one factor exponent (q, weight 0) moved
             qi = form.vars.index("q")
             moved = forcing_search(form)
             moved.factors[-1] = tuple(e + (i == qi) for i, e in enumerate(moved.factors[-1]))
@@ -332,8 +299,7 @@ def test_check_gf_section_unknown_section():
 
 
 def test_eq1_constant_term_and_x3_column():
-    oracle = gf_series3(3)
-    wv = slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 3)
+    wv = x_slice(gf_series3(0).vars.names, 3)
     series = expand_truncated(closed_form("EQ1"), wv)
     assert series.constant_value() == 1
     for m in range(4):
@@ -342,16 +308,14 @@ def test_eq1_constant_term_and_x3_column():
 
 
 def test_eq1_coefficient_is_catalan_poly():
-    oracle = gf_series3(3)
-    wv = slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 3)
+    wv = x_slice(gf_series3(0).vars.names, 3)
     series = expand_truncated(closed_form("EQ1"), wv)
     from qtcatalan.catalan import catalan_poly3
     assert series.coeff({"x1": 1, "x2": 1, "x3": 1}) == catalan_poly3(KVec3(1, 1, 1))
 
 
 def test_f11_coefficient_matches_filtered_refined_poly():
-    oracle = gf_series3(3, region="P1C1", refined=True)
-    wv = slice_weight_vector(oracle, X3, F_BASE_WEIGHTS, 3)
+    wv = x_slice(gf_series3(0, region="P1C1", refined=True).vars.names, 3)
     series = expand_truncated(closed_form("F11"), wv)
     got = series.coeff({"x1": 2, "x2": 1, "x3": 0})
     want = refined_poly3(KVec3(2, 1, 0), "P1C1")
@@ -361,7 +325,7 @@ def test_f11_coefficient_matches_filtered_refined_poly():
 @pytest.mark.parametrize("region", F_REGIONS)
 def test_crude_f_equals_closed_and_enumeration(region):
     oracle = gf_series3(3, region=region, refined=True)
-    wv = slice_weight_vector(oracle, X3, F_BASE_WEIGHTS, 3)
+    wv = x_slice(oracle.vars.names, 3)
     crude = expand_truncated(build_crude_F(region), wv)
     closed = expand_truncated(closed_form("F" + region[1] + region[3]), wv)
     assert series_equal(crude, closed, wv).equal
@@ -371,7 +335,7 @@ def test_crude_f_equals_closed_and_enumeration(region):
 @pytest.mark.parametrize("region", H_REGIONS)
 def test_crude_h_equals_closed_and_enumeration(region):
     oracle = gf_series4(2, region=region, refined=True)
-    wv = slice_weight_vector(oracle, ("x",), H_BASE_WEIGHTS, 2)
+    wv = x_slice(oracle.vars.names, 2)
     crude = expand_truncated(build_crude_H(region), wv)
     closed = expand_truncated(closed_form("H" + region[1] + region[3]), wv)
     assert series_equal(crude, closed, wv).equal
@@ -400,15 +364,14 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
     cut = dyck._CUTS4[0]
     monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
     rebuilt = dyck._compile("_bounce4", "k, a, b, c", *dyck._lowered(
-        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS))
+        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS), over="c")[0]
     monkeypatch.setattr(dyck, "_bounce4", rebuilt)
     catalan._gf_rows.cache_clear()
     try:
         for region in ("P2C1", "P2C2", "P3C1", "P3C2"):
             oracle = gf_series4(2, region=region, refined=True)
             form = closed_form("H" + region[1] + region[3])
-            bound = slice_term_bound(form, ("x",), H_BASE_WEIGHTS, 2)
-            wv = slice_weight_vector(oracle, ("x",), H_BASE_WEIGHTS, 2, min_m=bound)
+            wv = x_slice(oracle.vars.names, 2)
             assert expand_truncated(build_crude_H(region), wv) == oracle, region
             assert not series_equal(expand_truncated(form, wv), oracle, wv).equal, region
     finally:
@@ -417,49 +380,24 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
 
 def test_eq2_matches_enumeration_small():
     oracle = gf_series4(3)
-    wv = slice_weight_vector(oracle, ("x",), {"q": 1, "t": 1}, 3)
+    wv = x_slice(oracle.vars.names, 3)
     series = expand_truncated(closed_form("EQ2"), wv)
     assert series_equal(series, oracle, wv).equal
 
 
 def test_closed_form_series_are_symmetric():
-    oracle = gf_series3(3)
-    wv = slice_weight_vector(oracle, X3, {"q": 1, "t": 1}, 3)
-    eq1 = expand_truncated(closed_form("EQ1"), wv)
+    eq1 = expand_truncated(closed_form("EQ1"), x_slice(gf_series3(0).vars.names, 3))
     assert eq1.is_symmetric("q", "t")
-    oracle = gf_series4(3)
-    wv = slice_weight_vector(oracle, ("x",), {"q": 1, "t": 1}, 3)
+    wv = x_slice(gf_series4(0).vars.names, 3)
     eq2 = expand_truncated(closed_form("EQ2"), wv)
     assert eq2.is_symmetric("q", "t")
-
-
-def test_slice_term_bound_covers_expansion():
-    base = {"q": 1, "t": 1}
-    form = closed_form("EQ2")
-    bound = slice_term_bound(form, ("x",), base, 3)
-    oracle = gf_series4(3)
-    wv = slice_weight_vector(oracle, ("x",), base, 3, min_m=bound)
-    series = expand_truncated(form, wv)
-    xi = series.vars.index("x")
-    qi, ti = series.vars.index("q"), series.vars.index("t")
-    for exps in series.terms:
-        if exps[xi] <= 3:
-            assert exps[qi] + exps[ti] <= bound
-    # the bound dominates whatever the oracle carries
-    assert bound >= max(e[0] + e[1] for e in oracle.terms)
-
-
-def test_slice_term_bound_needs_x_in_every_factor():
-    crude = build_crude_F("P1C1")  # r2/r3 factors carry no x variable
-    with pytest.raises(ValueError, match="without x content"):
-        slice_term_bound(crude, X3, F_BASE_WEIGHTS, 3)
 
 
 def test_f_forms_sum_to_eq1_after_y_collapse():
     # the four refined closed forms, summed and evaluated at y2 = y3 = 1,
     # give the same series as the unrefined closed form
     refined_oracle = gf_series3(4, refined=True)
-    wv = slice_weight_vector(refined_oracle, X3, F_BASE_WEIGHTS, 4)
+    wv = x_slice(refined_oracle.vars.names, 4)
     total = None
     for form_id in ("F11", "F12", "F21", "F22"):
         part = expand_truncated(closed_form(form_id), wv)
@@ -467,20 +405,14 @@ def test_f_forms_sum_to_eq1_after_y_collapse():
     assert series_equal(total, refined_oracle, wv).equal
     collapsed = total.eval_ones(["y2", "y3"])
 
-    plain_oracle = gf_series3(4)
-    wv1 = slice_weight_vector(plain_oracle, X3, {"q": 1, "t": 1}, 4)
-    eq1 = expand_truncated(closed_form("EQ1"), wv1)
-    # compare on the shared slice: both are exact for total x-degree <= 4
-    xi = [collapsed.vars.index(x) for x in X3]
-    slice_of = lambda p: {e: c for e, c in p.terms.items()
-                          if sum(e[i] for i in xi) <= 4}
-    assert slice_of(collapsed) == slice_of(eq1)
+    # both are the exact slice of total x-degree <= 4
+    eq1 = expand_truncated(closed_form("EQ1"), x_slice(gf_series3(0).vars.names, 4))
+    assert collapsed == eq1
 
 
 def test_expanded_path_terms_have_nonnegative_exponents():
-    oracle = gf_series3(2, region="P1C2", refined=True)
-    wv = slice_weight_vector(oracle, X3, F_BASE_WEIGHTS, 2)
-    crude = expand_truncated(build_crude_F("P1C2"), wv)
+    crude = build_crude_F("P1C2")
+    crude = expand_truncated(crude, x_slice(crude.retained_names, 2))
     for exps in crude.terms:
         assert min(exps) >= 0
 
@@ -489,9 +421,10 @@ def test_expanded_path_terms_have_nonnegative_exponents():
 # expand_truncated against an unpruned reference
 
 
-def reference_expand(expr, wv):
-    """Every multiplicity vector whose weight fits the bound, with the
-    elimination modes applied to the finished exponents."""
+def reference_expand(expr, wv, cap=None):
+    """Every multiplicity vector whose weight fits the bound, a factor of
+    weight 0 taking each multiplicity below ``cap``, with the elimination
+    modes applied to the finished exponents."""
     names = expr.vars.names
     wmap = dict(zip(expr.retained_names, wv.resolve(expr.retained_names)))
     w = [wmap.get(n, 0) for n in names]
@@ -503,7 +436,7 @@ def reference_expand(expr, wv):
         if j == len(fwt):
             yield ()
             return
-        for n in range(rem // fwt[j] + 1):
+        for n in range(rem // fwt[j] + 1 if fwt[j] else cap):
             for rest in vectors(j + 1, rem - n * fwt[j]):
                 yield (n,) + rest
 
@@ -522,15 +455,64 @@ def reference_expand(expr, wv):
 
 @pytest.mark.parametrize("section", [s for s in omega.GF_SECTIONS if " " in s])
 def test_crude_expansion_matches_unpruned_reference(section):
-    # the smallest bounds at which every region of the family has a term
+    # on the x-slice every x-free factor (r2, r3, a, b or s, c, p) has
+    # weight 0; 3N + 1 exceeds every path parameter at order N
     family, _, region = section.partition(" ")
-    if family == "F":
-        expr, wv = build_crude_F(region), WeightVector(16, F_BASE_WEIGHTS)
-    else:
-        expr, wv = build_crude_H(region), WeightVector(20, H_BASE_WEIGHTS)
-    want = reference_expand(expr, wv)
-    assert want
+    order = 3 if family == "F" else 2
+    expr = (build_crude_F if family == "F" else build_crude_H)(region)
+    wv = x_slice(expr.retained_names, order)
+    assert 0 in [sum(wv.weights.get(n, 0) * e for n, e in zip(expr.vars.names, f))
+                 for f in expr.factors]
+    want = reference_expand(expr, wv, cap=3 * order + 1)
+    paths = (gf_series3 if family == "F" else gf_series4)(order, region=region, refined=True)
+    assert want == paths.terms
     assert expand_truncated(expr, wv).terms == want
+
+
+def padded(build):
+    """``build`` with one more numerator term, q^1000 times the base monomial."""
+    def build_padded(region):
+        expr = build(region)
+        qi = expr.vars.index("q")
+        base = expr.numerator[0][1]
+        expr.numerator.append((1, tuple(e + 1000 * (i == qi) for i, e in enumerate(base))))
+        return expr
+    return build_padded
+
+
+def test_padded_crude_form_fails_its_section(monkeypatch):
+    # weight 0 on q puts the q^1000 terms on the slice, so they are compared
+    monkeypatch.setattr(omega, "build_crude_F", padded(build_crude_F))
+    monkeypatch.setattr(omega, "build_crude_H", padded(build_crude_H))
+    for section, order in (("F P1C1", 3), ("H P2C3", 2)):
+        checks = dict(check_gf_section(section, order)[0])
+        diff = checks["crude_vs_closed"]
+        assert not diff.equal, section
+        names = closed_form(omega._SECTION_IDS[section]).vars.names
+        assert diff.witness[names.index("q")] >= 1000, section
+        assert checks["closed_vs_paths"].equal, section
+
+
+def test_uncapped_weight_zero_factor_rejected_before_any_search():
+    # m = 1 + n0 is never 0, so a search would stop at the first factor and
+    # never reach the last, whose only settled variable l (coefficient +1)
+    # bounds y's multiplicity from below only
+    names = ("x", "y", "m", "l")
+    numerator = [(1, (0, 0, 1, 0))]
+    wv = WeightVector(3, {"x": 1, "y": 0})
+    uncapped = geometric(names, [(1, 0, 1, 0), (0, 1, 0, 1)],
+                         {"m": "zero", "l": "nonneg"}, numerator)
+    with pytest.raises(ValueError, match=r"factor \{'y': 1, 'l': 1\} has nonpositive weight 0"):
+        expand_truncated(uncapped, wv)
+    # a negative coefficient caps it, and so does a zero variable
+    for elim, c in (({"m": "zero", "l": "nonneg"}, -1), ({"m": "zero", "l": "zero"}, 1)):
+        capped = geometric(names, [(1, 0, 1, 0), (0, 1, 0, c)], elim, numerator)
+        assert expand_truncated(capped, wv).terms == {}
+    # a negative weight is rejected even where a variable caps the factor
+    negative = geometric(names, [(1, 0, 1, 0), (0, -1, 0, -1)],
+                         {"m": "zero", "l": "nonneg"}, numerator)
+    with pytest.raises(ValueError, match=r"factor \{'y': -1, 'l': -1\} has nonpositive weight -1"):
+        expand_truncated(negative, WeightVector(3, {"x": 1, "y": 1}))
 
 
 def random_expr(rng):
