@@ -17,8 +17,8 @@ from operator import attrgetter, itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
-from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3,
-                   _bounce4, _bounce4_rows, _check_kvec3, _rows3, _rows4, _runs4,
+from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce4_rows,
+                   _check_type, _classified3, _classified4, _rows3, _rows4, _runs4,
                    enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
@@ -33,12 +33,12 @@ GF4_REFINED_VARS = tuple(_ROW4)
 
 def region_of_path3(p: Path3) -> str:
     """Bounce region of a length-3 path (partition of the (r2, r3) grid)."""
-    return F_REGIONS[_bounce3(p.k.k1, p.k.k2, p.r2, p.r3)[0]]
+    return F_REGIONS[_classified3(p)[0]]
 
 
 def region_of_path4(p: Path4) -> str:
     """Bounce region of a k^4 path (one of the eight cases)."""
-    return H_REGIONS[_bounce4(p.k, p.a, p.b, p.c)[0]]
+    return H_REGIONS[_classified4(p)[0]]
 
 
 def _tally(names: Sequence[str], columns: Sequence[str],
@@ -77,7 +77,7 @@ def _check_args(region: str | None, allowed: tuple[str, ...], size: int = 0,
 def _sweep3(ks: Sequence[KVec3], region: str | None) -> Iterator[tuple[int, ...]]:
     """The rows of the paths for each vector of ``ks`` in ``region`` (None: all)."""
     for k in ks:
-        _check_kvec3(k)
+        _check_type(k, KVec3)
     want = _check_args(region, F_REGIONS)
     return _in_region(_rows3([(k.k1, k.k2, k.k3) for k in ks]), want)
 

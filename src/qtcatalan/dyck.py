@@ -38,6 +38,12 @@ def _check_ints(name: str, *values) -> None:
         raise ValueError(f"{name} requires integers, got {values!r}")
 
 
+def _check_type(value, cls: type) -> None:
+    # a plain tuple or None would otherwise fail on its first attribute
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {value!r}")
+
+
 def ceil_div(a: int, z: int) -> int:
     """Mathematical ceiling of a/z for integers a and z >= 1, correct for negative a."""
     _check_ints("ceil_div", a, z)
@@ -372,11 +378,6 @@ class KVec3:
             raise ValueError(f"vector components must be nonnegative integers: {self}")
 
 
-def _check_kvec3(k) -> None:
-    if not isinstance(k, KVec3):
-        raise ValueError(f"expected a KVec3 vector, got {k!r}")
-
-
 @dataclass(frozen=True)
 class Path3:
     """Path for a length-3 vector, given by red ranks (r2, r3)."""
@@ -386,7 +387,7 @@ class Path3:
     r3: int
 
     def __post_init__(self):
-        _check_kvec3(self.k)
+        _check_type(self.k, KVec3)
         if type(self.r2) is not int or type(self.r3) is not int:
             raise ValueError(f"red ranks must be integers: {self}")
         if not (0 <= self.r2 <= self.k.k1):
@@ -441,24 +442,30 @@ class Path4:
 
 def count_paths3(k: KVec3) -> int:
     """Closed-form path count (k1+1)(k2+1) + k1(k1+1)/2."""
-    _check_kvec3(k)
+    _check_type(k, KVec3)
     return (k.k1 + 1) * (k.k2 + 1) + k.k1 * (k.k1 + 1) // 2
 
 
 def enumerate_paths3(k: KVec3) -> list[Path3]:
     """All paths for k, ordered lexicographically by (r2, r3)."""
-    _check_kvec3(k)
+    _check_type(k, KVec3)
     return [Path3(k, r2, r3) for r2 in range(k.k1 + 1) for r3 in range(r2 + k.k2 + 1)]
+
+
+def _classified3(p: Path3) -> tuple[int, int, int]:
+    """(region, bounce, area) of ``p``, which must be a Path3."""
+    _check_type(p, Path3)
+    return _bounce3(p.k.k1, p.k.k2, p.r2, p.r3)
 
 
 def area3(p: Path3) -> int:
     """Sum of red ranks: r2 + r3."""
-    return _bounce3(p.k.k1, p.k.k2, p.r2, p.r3)[2]
+    return _classified3(p)[2]
 
 
 def bounce3(p: Path3) -> int:
     """Bounce statistic from the red ranks, by the region tables."""
-    return _bounce3(p.k.k1, p.k.k2, p.r2, p.r3)[1]
+    return _classified3(p)[1]
 
 
 def _check_runs(name: str, a: int, c: int, b: int, d: int) -> None:
@@ -482,17 +489,20 @@ def bounce_from_runs(a: int, c: int, b: int, d: int) -> int:
 
 
 def bounce3_bd(p: ParamPath3) -> int:
+    _check_type(p, ParamPath3)
     return bounce_from_runs(p.a, p.c, p.b, p.d)
 
 
 def to_param3(p: Path3) -> ParamPath3:
     """Convert red ranks to run parameters: b = a - r2, d = r2 + c - r3."""
+    _check_type(p, Path3)
     a, c, e = p.k.k1, p.k.k2, p.k.k3
     return ParamPath3(a, c, e, a - p.r2, p.r2 + c - p.r3)
 
 
 def to_redrank3(p: ParamPath3) -> Path3:
     """Inverse of :func:`to_param3`."""
+    _check_type(p, ParamPath3)
     r2 = p.a - p.b
     return Path3(KVec3(p.a, p.c, p.e), r2, r2 + p.c - p.d)
 
@@ -523,16 +533,22 @@ _set_k, _set_a, _set_b, _set_c = (Path4.__dict__[name].__set__ for name in "kabc
 _drain = deque(maxlen=0).extend
 
 
+def _classified4(p: Path4) -> tuple[int, int, int]:
+    """(region, bounce, area) of ``p``, which must be a Path4."""
+    _check_type(p, Path4)
+    return _bounce4(p.k, p.a, p.b, p.c)
+
+
 def area4(p: Path4) -> int:
     """Sum of red ranks: 6k - 3a - 2b - c."""
-    return _bounce4(p.k, p.a, p.b, p.c)[2]
+    return _classified4(p)[2]
 
 
 def bounce4_case(p: Path4) -> int:
     """Number (1..8) of the unique bounce case containing the path."""
-    return _bounce4(p.k, p.a, p.b, p.c)[0] + 1
+    return _classified4(p)[0] + 1
 
 
 def bounce4(p: Path4) -> int:
     """Bounce statistic for k^4 paths, by the eight-region table."""
-    return _bounce4(p.k, p.a, p.b, p.c)[1]
+    return _classified4(p)[1]

@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from . import dyck
-from .dyck import Linear, ParamPath3, _check_ints, _check_runs, _negated, _reversed, ceil_div
+from .dyck import (Linear, ParamPath3, _check_ints, _check_runs, _check_type, _negated,
+                   _reversed, ceil_div)
 
 CASE_EXCHANGE = {
     "L11": "L11", "L22": "L22", "L12": "L21", "L21": "L12",
@@ -174,6 +175,7 @@ def involution_map(a: int, c: int, b: int, d: int) -> tuple[int, int]:
 
 def apply_involution(p: ParamPath3) -> ParamPath3:
     """Apply the statistic-exchanging involution to a full path."""
+    _check_type(p, ParamPath3)
     b2, d2 = involution_map(p.a, p.c, p.b, p.d)
     return ParamPath3(p.a, p.c, p.e, b2, d2)
 

@@ -77,6 +77,14 @@ class WeightVector:
         return [wmap.get(n, 1) for n in names]
 
 
+def _check_types(fn: str, *args: tuple[object, type]) -> None:
+    """Raise TypeError naming ``fn`` and the type it takes, for each (value,
+    type) of ``args`` whose value is of another type."""
+    for value, cls in args:
+        if not isinstance(value, cls):
+            raise TypeError(f"{fn} takes a {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_monomial(role: str, mono: tuple, n: int) -> None:
     if len(mono) != n:
         raise ValueError(f"{role} monomial length mismatch")
@@ -89,8 +97,9 @@ def _check_monomial(role: str, mono: tuple, n: int) -> None:
 class FactoredOmegaExpr:
     """Signed monomial numerator over a product of (1 - monomial) factors.
 
-    Coefficients and exponents must be ints (exact integer arithmetic);
-    every monomial is stored as a tuple.
+    ``vars`` is stored as a :class:`VarTable`, and taken as it takes its
+    names.  Coefficients and exponents must be ints (exact integer
+    arithmetic); every monomial is stored as a tuple.
     """
 
     vars: VarTable
@@ -99,6 +108,7 @@ class FactoredOmegaExpr:
     elim: EliminationSpec = field(default_factory=dict)
 
     def __post_init__(self):
+        self.vars = VarTable(self.vars)
         n = len(self.vars)
         for name, mode in self.elim.items():
             self.vars.index(name)
@@ -115,7 +125,7 @@ class FactoredOmegaExpr:
 
     @property
     def retained_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self.vars.names if n not in self.elim)
+        return tuple(n for n in self.vars if n not in self.elim)
 
     def retained_vars(self) -> VarTable:
         return VarTable(self.retained_names)
@@ -142,9 +152,11 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     under weight 1 on each x and 0 elsewhere.
 
     Raises ValueError, before any search, if a factor has negative weight,
-    or weight 0 and no such cap (the expansion would not terminate).
+    or weight 0 and no such cap (the expansion would not terminate), and
+    TypeError for an argument that is no FactoredOmegaExpr or WeightVector.
     """
-    names = expr.vars.names
+    _check_types("expand_truncated", (expr, FactoredOmegaExpr), (wv, WeightVector))
+    names = expr.vars
     retained = expr.retained_names
     wmap = dict(zip(retained, wv.resolve(retained)))
     w_full = [wmap.get(n, 0) for n in names]
@@ -269,7 +281,8 @@ def _expand_geometric(numerator: list[tuple[int, tuple[int, ...]]],
 
 def truncate_weighted(p: SparsePoly, wv: WeightVector) -> SparsePoly:
     """Drop terms of weighted degree above wv.bound."""
-    w = wv.resolve(p.vars.names)
+    _check_types("truncate_weighted", (p, SparsePoly), (wv, WeightVector))
+    w = wv.resolve(p.vars)
     return SparsePoly._owning(p.vars, {exps: c for exps, c in p.terms.items()
                                        if sum(wi * e for wi, e in zip(w, exps)) <= wv.bound})
 
@@ -292,12 +305,10 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
     and weights are checked, equal term dicts end the comparison; else only
     differing terms are weighed, so operands within the bound go untruncated.
     """
-    for operand in (p, r):
-        if not isinstance(operand, SparsePoly):
-            raise TypeError(f"series_equal takes SparsePolys, got {type(operand).__name__}")
+    _check_types("series_equal", (p, SparsePoly), (r, SparsePoly), (wv, WeightVector))
     if p.vars != r.vars:
         raise ValueError(f"variable table mismatch: {p.vars!r} vs {r.vars!r}")
-    w = wv.resolve(p.vars.names)
+    w = wv.resolve(p.vars)
     pt, rt = p.terms, r.terms
     if pt == rt:
         return SeriesDiff(True)
@@ -373,16 +384,9 @@ def closed_form(form_id: str) -> FactoredOmegaExpr:
                          f"expected one of {tuple(registry)}")
     entry = registry[form_id]
     vt = VarTable(entry["vars"])
-
-    def mono(exps: Mapping[str, int]) -> tuple[int, ...]:
-        out = [0] * len(vt)
-        for name, e in exps.items():
-            out[vt.index(name)] = e
-        return tuple(out)
-
-    numerator = [(item["coeff"], mono(item["monomial"]))
+    numerator = [(item["coeff"], vt.exponents(item["monomial"]))
                  for item in entry["numerator"]]
-    factors = [mono(f) for f in entry["factors"]]
+    factors = [vt.exponents(f) for f in entry["factors"]]
     return FactoredOmegaExpr(vt, numerator, factors, {})
 
 
@@ -429,7 +433,7 @@ def check_gf_section(section: str, max_order: int
     oracle = (gf_series3 if three else gf_series4)(max_order, region=region or None,
                                                     refined=bool(region))
     x_names = ("x1", "x2", "x3") if three else ("x",)
-    wv = WeightVector(max_order, {n: int(n in x_names) for n in oracle.vars.names})
+    wv = WeightVector(max_order, {n: int(n in x_names) for n in oracle.vars})
     closed = expand_truncated(closed_form(_SECTION_IDS[section]), wv)
     if not region:
         return [(section, series_equal(closed, oracle, wv))], len(oracle.terms)

@@ -92,64 +92,59 @@ def _dense_product(pa: list[tuple[int, int]], pb: list[tuple[int, int]],
             for key, (slot,) in enumerate(slots) if slot != zero)
 
 
-class VarTable:
-    """Ordered table of distinct variable names.
+class VarTable(tuple):
+    """Ordered table of distinct variable names: the tuple of the names.
 
     The order is fixed at construction and defines the layout of exponent
-    tuples in every polynomial built over this table.
+    tuples in every polynomial built over this table; :meth:`exponents` lays
+    a monomial given by name out in it.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ()
 
-    def __init__(self, names: Iterable[str]):
+    def __new__(cls, names: Iterable[str]):
         # a bare string would be split into its letters, and a name that is
         # no str breaks rendering
-        if not isinstance(names, str):
-            names = tuple(names)
+        names = names if isinstance(names, str) else tuple(names)
         if isinstance(names, str) or any(type(n) is not str for n in names):
             raise ValueError(f"variable names must be an iterable of strings, got {names!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names!r}")
-        self.names = names
-        self._index = {name: i for i, name in enumerate(names)}
+        return super().__new__(cls, names)
+
+    names = property(tuple, doc="The names as a plain tuple.")
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return super().index(name)
+        except ValueError:
             raise ValueError(f"unknown variable {name!r} (have {self.names!r})") from None
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._index
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarTable) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
+    def exponents(self, exps: Mapping[str, int]) -> tuple[int, ...]:
+        """The exponent tuple of prod(name**e) for the name -> e of ``exps``."""
+        out = [0] * len(self)
+        for name, e in exps.items():
+            out[self.index(name)] = e
+        return tuple(out)
 
     def __repr__(self) -> str:
-        return f"VarTable({list(self.names)!r})"
+        return f"VarTable({list(self)!r})"
 
 
 class SparsePoly:
     """Exact sparse polynomial over a fixed :class:`VarTable`.
 
     ``terms`` is a plain dict without zero coefficients (empty for zero).
-    The constructor checks a caller's mapping (``int`` exponents and
-    coefficients, tuples of the table's length) and copies it; inside the
-    package results are built by :meth:`_owning`, which both use to drop zeros.
+    The constructor takes the table as :class:`VarTable` does, checks a
+    caller's mapping (``int`` exponents and coefficients, tuples of the
+    table's length) and copies it; inside the package results are built by
+    :meth:`_owning`, which both use to drop zeros.
     """
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: VarTable, terms: Mapping[tuple[int, ...], int] | None = None):
+    def __init__(self, vars: Iterable[str], terms: Mapping[tuple[int, ...], int] | None = None):
+        vars = VarTable(vars)
         n = len(vars)
         own: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
@@ -188,12 +183,11 @@ class SparsePoly:
         return cls.constant(vars, 1)
 
     @classmethod
-    def monomial(cls, vars: VarTable, exps: Mapping[str, int], coeff: int = 1) -> "SparsePoly":
+    def monomial(cls, vars: Iterable[str], exps: Mapping[str, int],
+                 coeff: int = 1) -> "SparsePoly":
         """Build coeff * prod(var**e) from a name -> exponent mapping."""
-        tup = [0] * len(vars)
-        for name, e in exps.items():
-            tup[vars.index(name)] = e
-        return cls(vars, {tuple(tup): coeff})
+        vars = VarTable(vars)
+        return cls(vars, {vars.exponents(exps): coeff})
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -305,13 +299,9 @@ class SparsePoly:
         if any(type(e) is not int for e in partial.values()):
             raise ValueError(f"coeff needs int exponents, got {dict(partial)!r}")
         pinned = {self.vars.index(name): e for name, e in partial.items()}
-        keep = [i for i in range(len(self.vars)) if i not in pinned]
-        out_vars = VarTable(self.vars.names[i] for i in keep)
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            if all(exps[i] == e for i, e in pinned.items()):
-                out[tuple(exps[i] for i in keep)] = coeff
-        return SparsePoly._owning(out_vars, out)
+        return SparsePoly._owning(self.vars, {
+            exps: coeff for exps, coeff in self.terms.items()
+            if all(exps[i] == e for i, e in pinned.items())}).eval_ones(partial)
 
     def eval_ones(self, names: Iterable[str]) -> "SparsePoly":
         """Substitute 1 for each named variable; result is over the rest."""
@@ -319,7 +309,7 @@ class SparsePoly:
             raise ValueError(f"variable names must be an iterable of strings, got {names!r}")
         drop = {self.vars.index(name) for name in names}
         keep = [i for i in range(len(self.vars)) if i not in drop]
-        out_vars = VarTable(self.vars.names[i] for i in keep)
+        out_vars = VarTable(self.vars[i] for i in keep)
         out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
             key = tuple(exps[i] for i in keep)
@@ -344,7 +334,7 @@ class SparsePoly:
 
     def to_json_dict(self) -> dict:
         return {
-            "vars": list(self.vars.names),
+            "vars": list(self.vars),
             "terms": [{"exps": list(exps), "coeff": coeff}
                       for exps, coeff in self.sorted_terms()],
         }
@@ -388,7 +378,7 @@ class SparsePoly:
         parts = []
         for exps, coeff in self.sorted_terms():
             factors = [f"{name_of(n)}{power.format(e)}" if e != 1 else name_of(n)
-                       for n, e in zip(self.vars.names, exps) if e != 0]
+                       for n, e in zip(self.vars, exps) if e != 0]
             mag = abs(coeff)
             if not factors:
                 body = str(mag)

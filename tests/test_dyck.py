@@ -7,10 +7,12 @@ from itertools import product
 import pytest
 
 from qtcatalan import dyck
+from qtcatalan.catalan import region_of_path3, region_of_path4
 from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce3, _bounce4,
                             area3, area4, area_from_runs, bounce3, bounce3_bd, bounce4,
                             bounce4_case, bounce_from_runs, ceil_div, count_paths3,
                             enumerate_paths3, enumerate_paths4, to_param3, to_redrank3)
+from qtcatalan.involution import apply_involution
 
 
 @pytest.mark.parametrize("a, z, expected", [
@@ -79,6 +81,18 @@ def test_enumerate_paths3_rejects_a_vector_that_is_not_a_kvec3():
 def test_count_paths3_rejects_a_vector_that_is_not_a_kvec3():
     with pytest.raises(ValueError, match="KVec3"):
         count_paths3((1, 1, 1))
+
+
+@pytest.mark.parametrize("value", [(1, 1, 1), None], ids=("tuple", "None"))
+@pytest.mark.parametrize("accessor, expected", [
+    (area3, "Path3"), (bounce3, "Path3"), (to_param3, "Path3"), (region_of_path3, "Path3"),
+    (area4, "Path4"), (bounce4, "Path4"), (bounce4_case, "Path4"), (region_of_path4, "Path4"),
+    (bounce3_bd, "ParamPath3"), (to_redrank3, "ParamPath3"), (apply_involution, "ParamPath3"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_per_path_accessors_reject_what_is_not_their_path_type(accessor, expected, value):
+    # each once failed with AttributeError on the first attribute it read
+    with pytest.raises(ValueError, match=f"^expected a {expected}, got "):
+        accessor(value)
 
 
 @pytest.mark.parametrize("params", [

@@ -177,6 +177,35 @@ def test_expr_rejects_an_unknown_elimination_mode():
         FactoredOmegaExpr(VarTable(("x", "l")), [(1, (0, 0))], [(1, 0)], {"l": "pos"})
 
 
+@pytest.mark.parametrize("names, message", [("xy", "iterable of strings"),
+                                            (("x", "x"), "duplicate")],
+                         ids=("string", "repeated"))
+def test_expr_rejects_the_names_vartable_rejects(names, message):
+    with pytest.raises(ValueError, match=message):
+        FactoredOmegaExpr(names, [(1, (0, 0))], [(1, 0)])
+
+
+@pytest.mark.parametrize("names", [("x",), ["x"]], ids=("tuple", "list"))
+def test_expr_takes_its_names_as_a_vartable(names):
+    # a plain tuple once built and then failed on .names when expanded
+    e = FactoredOmegaExpr(names, [(1, (0,))], [(1,)])
+    assert type(e.vars) is VarTable and e.vars == ("x",)
+    assert expand_truncated(e, WeightVector(2)) == SparsePoly(("x",), {(i,): 1 for i in range(3)})
+
+
+@pytest.mark.parametrize("call, needed", [
+    (lambda: expand_truncated(closed_form("F11"), 3), "WeightVector"),
+    (lambda: expand_truncated(SparsePoly.one(("q",)), WeightVector(1)), "FactoredOmegaExpr"),
+    (lambda: series_equal(SparsePoly.one(("q",)), SparsePoly.one(("q",)), 3), "WeightVector"),
+    (lambda: truncate_weighted(SparsePoly.one(("q",)), 3), "WeightVector"),
+    (lambda: truncate_weighted(3, WeightVector(1)), "SparsePoly"),
+], ids=("expand_int", "expand_poly", "series_equal_int", "truncate_int", "truncate_not_poly"))
+def test_entry_points_name_the_type_they_take(call, needed):
+    # each once failed with AttributeError on the argument of the wrong type
+    with pytest.raises(TypeError, match=f"takes a {needed}, got "):
+        call()
+
+
 def test_expr_stores_list_monomials_as_tuples():
     e = FactoredOmegaExpr(VarTable(("x",)), [(1, [0])], [[1]])
     assert e.numerator == [(1, (0,))] and type(e.numerator[0][1]) is tuple

@@ -1,12 +1,15 @@
 import ast
+import copy
 import json
 import pathlib
+import pickle
 import random
 import re
 
 import pytest
 
 import qtcatalan
+from qtcatalan.omega import closed_form
 from qtcatalan.polynomial import SparsePoly, VarTable
 
 QT = VarTable(("q", "t"))
@@ -40,6 +43,57 @@ def test_vartable_rejects_names_that_are_not_strings(names):
 def test_vartable_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable"):
         QT.index("z")
+
+
+def test_vartable_is_the_tuple_of_its_names():
+    vt = VarTable(("q", "t"))
+    assert vt == ("q", "t") and ("q", "t") == vt
+    assert hash(vt) == hash(("q", "t"))
+    assert vt[0] == "q" and vt[-1] == "t" and vt[1:] == ("t",)
+    assert list(vt) == ["q", "t"] and len(vt) == 2 and "t" in vt and "x" not in vt
+    assert vt.names == ("q", "t") and type(vt.names) is tuple
+    assert repr(vt) == "VarTable(['q', 't'])"
+
+
+def test_vartable_exponents():
+    vt = VarTable(("q", "t"))
+    assert vt.exponents({"t": 2}) == (0, 2)
+    assert vt.exponents({"q": -1, "t": 3}) == (-1, 3)
+    assert vt.exponents({}) == (0, 0)
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        vt.exponents({"t": 1, "z": 1})
+
+
+@pytest.mark.parametrize("names", [("q", "t"), ["q", "t"], QT], ids=("tuple", "list", "table"))
+def test_polynomials_take_their_names_as_a_vartable(names):
+    # a plain tuple once built and then failed on .names when rendered
+    p = SparsePoly(names, {(1, 0): 1})
+    assert type(p.vars) is VarTable and p.vars == QT
+    assert p.text() == "q" and p == mono(QT, {"q": 1})
+    t2 = SparsePoly.monomial(names, {"t": 2})
+    assert type(t2.vars) is VarTable and t2 == mono(QT, {"t": 2})
+
+
+@pytest.mark.parametrize("names, message", [
+    ("qt", "iterable of strings"), (("q", "q"), "duplicate"), (("q", 1), "iterable of strings"),
+], ids=("string", "repeated", "not_str"))
+def test_polynomials_reject_the_names_vartable_rejects(names, message):
+    with pytest.raises(ValueError, match=message):
+        SparsePoly(names, {})
+    with pytest.raises(ValueError, match=message):
+        SparsePoly.monomial(names, {})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QT, lambda: SparsePoly(QT, {(2, 1): -3, (0, 0): 1}), lambda: closed_form("EQ2"),
+], ids=("VarTable", "SparsePoly", "closed_form"))
+def test_pickle_and_deepcopy_round_trip(make):
+    obj = make()
+    copies = [pickle.loads(pickle.dumps(obj, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.deepcopy(obj)]:
+        assert type(other) is type(obj) and other == obj
+        assert type(getattr(other, "vars", other)) is VarTable
 
 
 def test_add_disjoint_supports():
