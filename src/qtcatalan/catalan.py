@@ -10,7 +10,7 @@ and H_REGIONS of :mod:`qtcatalan.dyck`.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import chain, islice, permutations
 from operator import attrgetter, itemgetter
@@ -18,8 +18,8 @@ from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce4_rows,
-                   _check_type, _classified3, _classified4, _rows3, _rows4, _runs4,
-                   enumerate_paths4)
+                   _check_type, _classified3, _classified4, _discard, _rows3, _rows4,
+                   _runs4, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -105,10 +105,6 @@ def catalan_poly_lambda3(lam: Sequence[int]) -> SparsePoly:
     return _tally(QT_VARS, GF3_REFINED_VARS, _sweep3(vectors, None))
 
 
-# an appender that keeps nothing, for the regions catalan_poly_k4 does not read
-_drop = deque(maxlen=0).append
-
-
 def catalan_poly_k4(k: int) -> SparsePoly:
     """Sum of q^area t^bounce over all paths for k^4."""
     # the one sum over enumerate_paths4 objects: the k4_ring benchmark's
@@ -119,7 +115,7 @@ def catalan_poly_k4(k: int) -> SparsePoly:
     cs = map(attrgetter("c"), enumerate_paths4(k))
     terms, bounces, areas = Counter(), [], []
     for a, b, n in _runs4(k):
-        _bounce4_rows(k, a, b, islice(cs, n), _drop, bounces.append, areas.append)
+        _bounce4_rows(k, a, b, islice(cs, n), _discard, bounces.append, areas.append)
         terms.update(zip(areas, bounces))
         bounces.clear()
         areas.clear()

@@ -104,6 +104,13 @@ def _verify_gf(max_order: int) -> int:
     return _pass("gf", checked)
 
 
+# per suite, in the order --help lists them: its check, the range option it
+# reads and that option's default
+_SUITES = {"symmetry3": (_verify_symmetry3, "max", 8),
+           "symmetry4": (_verify_symmetry4, "max", 8),
+           "involution": (_verify_involution, "max", 8), "gf": (_verify_gf, "truncate", 4)}
+
+
 def _table_stats3(k: KVec3, fmt: str):
     # the rows the length-3 polynomials sum, each with its involution case
     # at its run parameters (b, d)
@@ -154,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", **fmt_kw)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("symmetry3", "symmetry4", "involution", "gf"))
+    p.add_argument("--suite", required=True, choices=tuple(_SUITES))
     # no argparse defaults, so that _run sees which option was given
     p.add_argument("--max", type=int,
                    help="range bound for symmetry/involution suites")
@@ -177,16 +183,15 @@ def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "verify":
             # a suite reads one range option, with its default, and rejects the other
-            option, other, default = (("truncate", "max", 4) if args.suite == "gf"
-                                      else ("max", "truncate", 8))
+            check, option, default = _SUITES[args.suite]
+            other = next(o for _, o, _ in _SUITES.values() if o != option)
             given = vars(args)
             if given[other] is not None:
                 raise ValueError(f"--suite {args.suite} reads --{option}, not --{other}")
             bound = default if given[option] is None else given[option]
             if bound < 0:
-                raise ValueError("--max and --truncate must be nonnegative")
-            return {"symmetry3": _verify_symmetry3, "symmetry4": _verify_symmetry4,
-                    "involution": _verify_involution, "gf": _verify_gf}[args.suite](bound)
+                raise ValueError(f"--{option} must be nonnegative")
+            return check(bound)
         if args.command == "table":
             if args.what == "stats3":
                 _table_stats3(KVec3(*_parse_ints(args.k, 3, "--k")), args.format)

@@ -17,8 +17,8 @@ their regions.  :func:`_compile`, the package's one code generator, writes
 straight-line code from a first-match table of rows over floor(row/z)
 symbols; the region tables are lowered into it, each split's overlap check
 being guard cases, and compiled to the path classifiers (a path's region
-number, bounce and area), which the row streams call once per path; it can
-also write a loop form that runs the same code for each value of one
+number, bounce and area), which the row streams call once per path; it also
+writes a loop form that runs the same code for each value of the last
 argument, computing what does not depend on it once, as ``_bounce4_rows``
 classifies a whole run of k^4 paths.  The involution's case table is
 compiled the same way.
@@ -63,7 +63,7 @@ def _negated(row: Linear) -> Linear:
     return {**{v: -c for v, c in row.items()}, "const": -row.get("const", 0) - 1}
 
 
-def _case(cuts: list[Linear], i: int) -> list[Linear]:
+def _split_rows(cuts: list[Linear], i: int) -> list[Linear]:
     """Rows of case i (from 0) of a split by ``cuts``: it holds cut i and
     fails cut i - 1, so the cases partition what the split divides."""
     return cuts[i:i + 1] + ([_negated(cuts[i - 1])] if i else [])
@@ -162,8 +162,7 @@ _COMPLEMENT = {">=": "<", "<": ">="}
 
 
 def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
-             symbols: Mapping[str, tuple[Linear, int]], over: str
-             ) -> tuple[Callable, Callable]:
+             symbols: Mapping[str, tuple[Linear, int]]) -> tuple[Callable, Callable]:
     """Compile ``name(args)`` from a first-match table as straight-line code.
 
     A case (rows, result) holds where its rows hold and no earlier case's
@@ -177,10 +176,11 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
 
     Returns the pair (``name``, loop form).  The loop form
     ``{name}_rows(<the other arguments>, values, *appenders)`` runs the same
-    tree for the argument ``over`` = each of ``values`` in one loop, gives
-    each item of a case's result to its own appender and goes on with the
-    next value, and raises what ``name`` raises; every test and symbol that
-    does not read ``over`` is computed once, before the loop."""
+    tree for the last argument = each of ``values`` in one loop, gives each
+    item of a case's result to its own appender and goes on with the next
+    value, and raises what ``name`` raises; every test and symbol that does
+    not read the last argument is computed once, before the loop."""
+    *head, over = args.split(", ")
     cuts: list[Linear] = []
     found: dict[frozenset, tuple[int, str]] = {}  # a row's terms -> (j, op)
 
@@ -274,8 +274,7 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
     emit(table, 0, "    ", set(), set())
     point, loop = lines, True
     width = next(len(r) for _, r in cases if isinstance(r, tuple))
-    head = [v for v in args.split(", ") if v != over] + ["values"]
-    head += [f"_append{i}" for i in range(width)]
+    head += ["values"] + [f"_append{i}" for i in range(width)]
     lines = [f"    for {over} in values:"]
     emit(table, 0, "        ", set(), set())
     lines = [*point, f"def {name}_rows({', '.join(head)}):", *before, *lines]
@@ -284,12 +283,12 @@ def _compile(name: str, args: str, cases: Sequence[tuple[list[Linear], object]],
 
 
 def _lowered(args: str, point: str, row: Mapping[str, Linear | None], part_cuts: list[Linear],
-             parts: Sequence[tuple]) -> tuple[list[tuple[list[Linear], object]], dict]:
-    """A family's part and case tables as a :func:`_compile` table and its
-    symbols.  Case j of part i has the rows ``_case(part_cuts, i) +
-    _case(cuts, j)`` and returns (region, bounce, area = row["q"]), the region
-    numbered by :func:`_regions` and each ceiling p = ceil(A/z) a symbol,
-    floor((A + z - 1)/z); a table in s reads s = floor(b/2) and r = b - 2s.
+             parts: Sequence[tuple]) -> tuple[str, list[tuple[list[Linear], object]], dict]:
+    """A family's part and case tables as the :func:`_compile` table (args,
+    cases, symbols).  Case j of part i has the rows ``_split_rows(part_cuts,
+    i) + _split_rows(cuts, j)`` and returns (region, bounce, area = row["q"]),
+    the region numbered by :func:`_regions` and each ceiling p = ceil(A/z) a
+    symbol, floor((A + z - 1)/z); a table in s reads s = floor(b/2) and r = b - 2s.
     Ahead of a split's cases, a guard case per pair j, m >= j + 2 raises where
     both hold, and a last one where none does."""
     fields = ", ".join(f"{v}={{{v}}}" for v in args.split(", "))
@@ -300,7 +299,7 @@ def _lowered(args: str, point: str, row: Mapping[str, Linear | None], part_cuts:
         n = len(cases)
         regions = [{"const": number[i, j, 0], "r": number[i, j, 1] - number[i, j, 0]}
                    if "s" in sum_vars else {"const": number[i, j, None]} for j in range(n)]
-        rows = [_case(part_cuts, i) + _case(cuts, j) for j in range(n)]
+        rows = [_split_rows(part_cuts, i) + _split_rows(cuts, j) for j in range(n)]
         table += [(rows[j] + rows[m],
                    f"bounce cases [{{{_source(regions[j])} + 1}}, {{{_source(regions[m])} + 1}}] "
                    f"fired for {point}({fields}); expected exactly one")
@@ -310,7 +309,7 @@ def _lowered(args: str, point: str, row: Mapping[str, Linear | None], part_cuts:
                 symbols[f"{p}{len(table)}"] = ({**a, "const": a.get("const", 0) + z - 1}, z)
                 bounce = {f"{p}{len(table)}" if v == p else v: c for v, c in bounce.items()}
             table.append((rows[j], (regions[j], bounce, row["q"])))
-    return table + [([], f"no bounce case holds for {point}({fields})")], symbols
+    return args, table + [([], f"no bounce case holds for {point}({fields})")], symbols
 
 
 # (region, bounce, area) of a path (r2, r3) for (k1, k2, k3), or (a, b, c)
@@ -318,11 +317,11 @@ def _lowered(args: str, point: str, row: Mapping[str, Linear | None], part_cuts:
 # area_append) classifies a row of paths, each r3 of r3s, in one call, and
 # _bounce4_rows(k, a, b, cs, ...) a run of k^4 paths, each c of cs
 _bounce3, _bounce3_rows = _compile(
-    "_bounce3", "k1, k2, r2, r3",
-    *_lowered("k1, k2, r2, r3", "Path3", _ROW3, _F_PART_CUTS, _F_PARTS), over="r3")
+    "_bounce3", *_lowered("k1, k2, r2, r3", "Path3", _ROW3, _F_PART_CUTS, _F_PARTS))
 _bounce4, _bounce4_rows = _compile(
-    "_bounce4", "k, a, b, c",
-    *_lowered("k, a, b, c", "Path4", _ROW4, _H_PART_CUTS, _H_PARTS), over="c")
+    "_bounce4", *_lowered("k, a, b, c", "Path4", _ROW4, _H_PART_CUTS, _H_PARTS))
+# an appender that keeps nothing, for the loop-form outputs a caller does not read
+_discard = deque(maxlen=0).append
 
 
 def _runs4(k: int) -> list[tuple[int, int, int]]:

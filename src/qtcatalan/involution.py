@@ -22,13 +22,12 @@ Case labels and their exchange pattern:
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from . import dyck
-from .dyck import (Linear, ParamPath3, _check_ints, _check_runs, _check_type, _negated,
-                   _reversed, ceil_div)
+from .dyck import (Linear, ParamPath3, _check_ints, _check_runs, _check_type, _discard,
+                   _negated, _reversed, ceil_div)
 
 CASE_EXCHANGE = {
     "L11": "L11", "L22": "L22", "L12": "L21", "L21": "L12",
@@ -55,8 +54,8 @@ def lemma4_check(c: int, d: int) -> bool:
     With Y = parity_y(c, d) and d' = 2*floor(d/2) + Y, the recomputed
     indicator parity_y(c, d') must equal the parity of d itself.
     """
-    y = parity_y(c, d)
-    d1 = 2 * (d // 2) + y
+    _check_ints("lemma4_check", c, d)
+    d1 = 2 * (d // 2) + parity_y(c, d)  # d'
     return parity_y(c, d1) == d & 1
 
 
@@ -123,7 +122,7 @@ def _generate(cases: Sequence[tuple[str, list[Linear], tuple[Linear, Linear]]]
     image_append)``, which appends them for each d of ``ds`` in turn."""
     table = [(rows, (label, image)) for label, rows, image in cases]
     no_case = "no involution case holds at (a, c, b, d) = ({a}, {c}, {b}, {d})"
-    return dyck._compile("_case", "a, c, b, d", table + [([], no_case)], _SYMBOLS, over="d")
+    return dyck._compile("_case", "a, c, b, d", table + [([], no_case)], _SYMBOLS)
 
 
 _case, _case_rows = _generate(_CASES)
@@ -235,12 +234,12 @@ def verify_involution(a: int, c: int) -> InvolutionReport:
     if type(a) is not int or type(c) is not int or a < 0 or c < 0:
         raise ValueError(f"verify_involution requires integers a, c >= 0, got a={a!r}, c={c!r}")
     labels, images, bounces, areas, start = [], [], [], [], []
-    dropped = deque(maxlen=0).append  # the regions, which the checks do not read
     for b in range(a + 1):
         start.append(len(labels))
         r2 = a - b
         _case_rows(a, c, b, range(r2 + c + 1), labels.append, images.append)
-        dyck._bounce3_rows(a, c, r2, range(r2 + c, -1, -1), dropped, bounces.append, areas.append)
+        # the regions go to _discard: the checks do not read them
+        dyck._bounce3_rows(a, c, r2, range(r2 + c, -1, -1), _discard, bounces.append, areas.append)
     report = InvolutionReport(a, c, len(labels))
     fail = report.failures.append
     i = -1

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .catalan import gf_series3, gf_series4
 from .dyck import (_DOMAIN3, _DOMAIN4, _F_PART_CUTS, _F_PARTS, _H_PART_CUTS, _H_PARTS, _ROW3,
-                   _ROW4, Linear, _at_parity, _case, _regions)
+                   _ROW4, Linear, _at_parity, _regions, _split_rows)
 from .polynomial import SparsePoly, VarTable
 
 MODE_NONNEG = "nonneg"
@@ -340,7 +340,7 @@ def _crude(row: Mapping[str, Linear | None], domain: list[Linear], part_cuts: li
     part, case, r = found[region]
     sum_vars, cuts, cases = parts[part]
     bounce, ceilings = cases[case]
-    slack = domain + _case(part_cuts, part) + _case(cuts, case)
+    slack = domain + _split_rows(part_cuts, part) + _split_rows(cuts, case)
     lams = [f"l{i + 1}" for i in range(len(slack))]
     mus = [f"mu{i + 1}" if len(ceilings) > 1 else "mu" for i in range(len(ceilings))]
     functionals = [bounce if f is None else f for f in row.values()]

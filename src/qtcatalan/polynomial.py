@@ -157,6 +157,11 @@ class SparsePoly:
             own[exps] = coeff
         self.vars, self.terms = vars, SparsePoly._owning(vars, own).terms
 
+    def __reduce__(self):
+        # through the checked constructor, which protocols 0 and 1 need: the
+        # class has slots and no __getstate__
+        return SparsePoly, (self.vars, self.terms)
+
     # ------------------------------------------------------------------
     # constructors
 

@@ -118,6 +118,14 @@ def test_verify_rejects_the_range_option_its_suite_does_not_read(capsys):
         "qtcatalan verify: error: --suite gf reads --truncate, not --max")
 
 
+def test_verify_names_the_negative_range_option(capsys):
+    # the bound a suite reads, from its row of cli._SUITES
+    assert usage_error_lines(capsys, "verify", "--suite", "gf", "--truncate", "-1")[1] == (
+        "qtcatalan verify: error: --truncate must be nonnegative")
+    assert usage_error_lines(capsys, "verify", "--suite", "involution", "--max", "-1")[1] == (
+        "qtcatalan verify: error: --max must be nonnegative")
+
+
 def test_verify_symmetry3(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "symmetry3", "--max", "3")
     assert code == 0

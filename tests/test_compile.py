@@ -7,15 +7,24 @@ Python's ``//``, and a string result is formatted over the point and its
 symbols and raised.  The compiled classifiers and the involution's
 ``_case`` must agree with it at every point of a box that holds many
 points that are no path.
+
+The source the compiler writes for the three tables, both forms each, is
+``golden/generated_tables.txt``.  After a change that is meant to alter the
+generated code, review the difference and regenerate it:
+
+    PYTHONPATH=src python tests/test_compile.py > tests/golden/generated_tables.txt
 """
 
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from qtcatalan import dyck, involution
 
 BOX = list(product(range(-3, 6), repeat=4))
+GOLDEN = Path(__file__).parent / "golden" / "generated_tables.txt"
 
 
 class Point(dict):
@@ -63,10 +72,10 @@ def _case_table():
 
 
 TABLES = {
-    "_bounce3": (dyck._bounce3, lambda: ("k1, k2, r2, r3", *dyck._lowered(
-        "k1, k2, r2, r3", "Path3", dyck._ROW3, dyck._F_PART_CUTS, dyck._F_PARTS))),
-    "_bounce4": (dyck._bounce4, lambda: ("k, a, b, c", *dyck._lowered(
-        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS))),
+    "_bounce3": (dyck._bounce3, lambda: dyck._lowered(
+        "k1, k2, r2, r3", "Path3", dyck._ROW3, dyck._F_PART_CUTS, dyck._F_PARTS)),
+    "_bounce4": (dyck._bounce4, lambda: dyck._lowered(
+        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS)),
     "_case": (involution._case, _case_table),
 }
 
@@ -88,29 +97,42 @@ def test_compiled_function_agrees_with_its_table_on_a_box(name):
         assert any(out[0] == "AssertionError" for out in outcomes)
 
 
-@pytest.mark.parametrize("name", TABLES)
-def test_generated_code_only_floors(monkeypatch, name):
+def generated(name):
+    """The source ``dyck._compile`` writes for the table ``name``, both forms."""
     sources = []
 
     def spy(source, *args):
         sources.append(source)
         return compile(source, *args)
-    monkeypatch.setattr(dyck, "compile", spy, raising=False)
-    args, cases, symbols = TABLES[name][1]()
-    dyck._compile(name, args, cases, symbols, over=LOOPS[name][0])  # both forms
-    assert all(z >= 1 for _, z in symbols.values())
+    dyck.compile = spy  # a module global, found before the builtin
+    try:
+        dyck._compile(name, *TABLES[name][1]())
+    finally:
+        del dyck.compile
     (source,) = sources
+    return source + "\n"
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_generated_code_only_floors(name):
+    _, _, symbols = TABLES[name][1]()
+    assert all(z >= 1 for _, z in symbols.values())
+    source = generated(name)
     assert " // " in source
     for token in ("assert", "&", "%"):
         assert token not in source, token
 
 
-# name -> (the argument the loop form runs over, the loop form the package
-# uses, the width of a case's result)
+def test_generated_code_matches_the_golden_file():
+    assert "".join(map(generated, TABLES)) == GOLDEN.read_text()
+
+
+# name -> (the loop form the package uses, over the table's last argument,
+# and the width of a case's result)
 LOOPS = {
-    "_bounce3": ("r3", dyck._bounce3_rows, 3),
-    "_bounce4": ("c", dyck._bounce4_rows, 3),  # hoists the symbols s and r, reaches a guard
-    "_case": ("d", involution._case_rows, 2),
+    "_bounce3": (dyck._bounce3_rows, 3),
+    "_bounce4": (dyck._bounce4_rows, 3),  # hoists the symbols s and r, reaches a guard
+    "_case": (involution._case_rows, 2),
 }
 
 
@@ -142,10 +164,10 @@ def _looped(rows, fixed, values, width):
 def test_loop_form_appends_what_the_point_form_returns(name):
     compiled, table = TABLES[name]
     args, cases, symbols = table()
-    over, rows, width = LOOPS[name]
+    rows, width = LOOPS[name]
     reference = interpret(args, cases, symbols)
     names = args.split(", ")
-    others = [v for v in names if v != over]
+    *others, over = names
     outcomes = []
     for point in sorted({tuple(p for v, p in zip(names, point) if v != over) for point in BOX}):
         fixed = dict(zip(others, point))
@@ -168,3 +190,7 @@ def test_loop_form_names_the_value_no_case_holds_for():
         case_rows(3, 2, 2, [4, 2, 0, 1], labels.append, images.append)
     assert list(zip(labels, images)) == [case(3, 2, 2, 4), case(3, 2, 2, 2)]
     assert labels == ["G22", "G22"]
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(map(generated, TABLES)))

@@ -299,12 +299,11 @@ def test_classifiers_make_no_other_call():
 
 
 def test_a_bounce_table_without_its_last_case_names_the_point():
-    table, symbols = dyck._lowered("k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS,
-                                   dyck._H_PARTS)
+    args, table, symbols = dyck._lowered("k, a, b, c", "Path4", dyck._ROW4,
+                                         dyck._H_PART_CUTS, dyck._H_PARTS)
     assert table[-1][0] == []  # the rowless case that holds where no other does
     # without P2C3/P3C3, the last case of the s table
-    classify = dyck._compile("_bounce4", "k, a, b, c", table[:-2] + table[-1:], symbols,
-                             over="c")[0]
+    classify = dyck._compile("_bounce4", args, table[:-2] + table[-1:], symbols)[0]
     assert classify(1, 1, 0, 0) == _bounce4(1, 1, 0, 0) == (1, 3, 3)
     assert _bounce4(1, 0, 0, 0)[0] == 4
     with pytest.raises(AssertionError,

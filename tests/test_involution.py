@@ -21,6 +21,7 @@ def test_parity_indicators():
 @pytest.mark.parametrize("fn, args", [
     (parity_x, (1.5, 0, 0, 0)), (parity_x, (True, 1, 0, 0)), (parity_x, (1, 1, 1, "1")),
     (parity_y, (True, 1)), (parity_y, (1, 0.5)), (parity_y, (1, False)),
+    (lemma4_check, (True, 1)), (lemma4_check, (1, 0.5)),
 ])
 def test_parities_reject_non_integers(fn, args):
     # True once counted as 1 and 1.5 raised TypeError

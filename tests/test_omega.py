@@ -392,8 +392,8 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
     # has a crude form equal to its path sum, and only the closed form differs
     cut = dyck._CUTS4[0]
     monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
-    rebuilt = dyck._compile("_bounce4", "k, a, b, c", *dyck._lowered(
-        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS), over="c")[0]
+    rebuilt = dyck._compile("_bounce4", *dyck._lowered(
+        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS))[0]
     monkeypatch.setattr(dyck, "_bounce4", rebuilt)
     catalan._gf_rows.cache_clear()
     try:
