@@ -97,9 +97,13 @@ def _verify_gf(max_order: int) -> int:
         for name, diff in checks:
             if not diff.equal:
                 region = {} if name == section else {"region": section}
+                # each side named for what it holds: a region compares
+                # crude_vs_closed and closed_vs_paths, an identity its
+                # product form with the paths
+                left, right = name.split("_vs_") if region else ("product", "paths")
                 return _fail("gf", {"identity": name, **region,
-                                    "exps": list(diff.witness),
-                                    "left": diff.left, "right": diff.right})
+                                    "exps": dict(zip(diff.names, diff.witness)),
+                                    left: diff.left, right: diff.right})
         checked += terms
     return _pass("gf", checked)
 

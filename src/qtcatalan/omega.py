@@ -295,6 +295,8 @@ class SeriesDiff:
     witness: tuple[int, ...] | None = None
     left: int = 0
     right: int = 0
+    # the variable table the witness's exponents follow
+    names: tuple[str, ...] = field(default=(), compare=False)
 
 
 def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
@@ -317,7 +319,7 @@ def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
     if not diffs:
         return SeriesDiff(True)
     key = max(diffs)
-    return SeriesDiff(False, key, pt.get(key, 0), rt.get(key, 0))
+    return SeriesDiff(False, key, pt.get(key, 0), rt.get(key, 0), tuple(p.vars))
 
 
 # ----------------------------------------------------------------------

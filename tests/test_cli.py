@@ -181,19 +181,21 @@ def test_table_stats4_classifies_each_path_once(capsys, monkeypatch):
     import qtcatalan.cli as cli_mod
     import qtcatalan.dyck as dyck_mod
 
-    calls = []
+    points = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(k, a, b, cs, *appenders):
+        cs = list(cs)
+        points.extend((k, a, b, c) for c in cs)
+        return real(k, a, b, cs, *appenders)
 
-    real = dyck_mod._bounce4
-    monkeypatch.setattr(dyck_mod, "_bounce4", counting)
-    monkeypatch.setattr(cli_mod, "_bounce4", counting, raising=False)
+    # the paths are classified a run (k, a, b) at a time, by the loop form
+    real = dyck_mod._bounce4_rows
+    monkeypatch.setattr(dyck_mod, "_bounce4_rows", counting)
+    monkeypatch.setattr(cli_mod, "_bounce4_rows", counting, raising=False)
     code, out, _ = run(capsys, "table", "--what", "stats4", "--k", "3")
     assert code == 0
     assert len(out.splitlines()) == 1 + 140
-    assert len(calls) == 140
+    assert len(points) == len(set(points)) == 140
 
 
 def _stats3_rows_from_path_objects(k: KVec3) -> list[dict]:
@@ -261,6 +263,14 @@ def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
             return real(*args)
         return wrapper
 
+    def counting_runs(real):
+        # a k^4 run (k, a, b) is classified by one loop-form call over its c values
+        def wrapper(k, a, b, cs, *appenders):
+            cs = list(cs)
+            calls[4] += len(cs)
+            return real(k, a, b, cs, *appenders)
+        return wrapper
+
     def yielding(family, real):
         def wrapper(*args):
             for row in real(*args):
@@ -274,7 +284,7 @@ def test_verify_gf_classifies_each_path_once(capsys, monkeypatch):
 
     real_rows = catalan_mod._gf_rows
     monkeypatch.setattr(dyck_mod, "_bounce3", counting(3, dyck_mod._bounce3))
-    monkeypatch.setattr(dyck_mod, "_bounce4", counting(4, dyck_mod._bounce4))
+    monkeypatch.setattr(dyck_mod, "_bounce4_rows", counting_runs(dyck_mod._bounce4_rows))
     monkeypatch.setattr(catalan_mod, "_rows3", yielding(3, catalan_mod._rows3))
     monkeypatch.setattr(catalan_mod, "_rows4", yielding(4, catalan_mod._rows4))
     monkeypatch.setattr(catalan_mod, "_gf_rows", keeping)
@@ -344,7 +354,8 @@ def test_verify_gf_reports_broken_region_form(capsys, monkeypatch):
     assert code == 1
     assert out == ('{"suite": "gf", "status": "fail", "counterexample": '
                    '{"identity": "crude_vs_closed", "region": "F P1C1", '
-                   '"exps": [3, 1, 2, 0, 0, 2, 1], "left": 1, "right": 0}}\n')
+                   '"exps": {"q": 3, "t": 1, "x1": 2, "x2": 0, "x3": 0, "y2": 2, "y3": 1}, '
+                   '"crude": 1, "closed": 0}}\n')
     assert err == "gf: F P1C1\n"
 
 
@@ -353,7 +364,8 @@ def test_verify_gf_reports_broken_identity_without_region(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "gf", "--truncate", "2")
     assert code == 1
     assert out == ('{"suite": "gf", "status": "fail", "counterexample": '
-                   '{"identity": "EQ2", "exps": [12, 0, 2], "left": 0, "right": 1}}\n')
+                   '{"identity": "EQ2", "exps": {"q": 12, "t": 0, "x": 2}, '
+                   '"product": 0, "paths": 1}}\n')
     assert err.splitlines()[-2:] == ["gf: H P3C3", "gf: EQ2"]
 
 

@@ -15,6 +15,7 @@ generated code, review the difference and regenerate it:
     PYTHONPATH=src python tests/test_compile.py > tests/golden/generated_tables.txt
 """
 
+import ast
 import sys
 from itertools import product
 from pathlib import Path
@@ -180,6 +181,31 @@ def test_loop_form_appends_what_the_point_form_returns(name):
     if name == "_bounce4":  # a guard raises, after earlier values were appended
         assert any(message and "bounce cases [3, 5] fired" in message and appended[0]
                    for appended, message in outcomes)
+
+
+def _recomputed(name):
+    """The statements and tests in the loop of the loop form of ``name`` with
+    an arithmetic part that reads neither the loop argument nor a name the
+    loop assigns: work the loop would repeat for every value."""
+    function = next(node for node in ast.parse(generated(name)).body
+                    if node.name == f"{name}_rows")
+    loop = next(node for node in function.body if isinstance(node, ast.For))
+    varying = {node.id for node in ast.walk(loop)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+    def reads(node):
+        return any(isinstance(n, ast.Name) and n.id in varying for n in ast.walk(node))
+    # a raise is not among the roots: its message is formatted once, as the loop ends
+    roots = [node.test if isinstance(node, ast.If) else node.value for node in ast.walk(loop)
+             if isinstance(node, (ast.If, ast.Assign, ast.Expr))]
+    return [ast.unparse(root) for root in roots
+            if any(isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Compare)) and not reads(node)
+                   for node in ast.walk(root))]
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_loop_form_computes_what_does_not_vary_before_its_loop(name):
+    assert _recomputed(name) == []
 
 
 def test_loop_form_names_the_value_no_case_holds_for():

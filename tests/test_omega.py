@@ -392,9 +392,10 @@ def test_shifted_shared_cut_moves_paths_and_crude_forms_together(monkeypatch):
     # has a crude form equal to its path sum, and only the closed form differs
     cut = dyck._CUTS4[0]
     monkeypatch.setitem(cut, "const", cut.get("const", 0) - 1)
-    rebuilt = dyck._compile("_bounce4", *dyck._lowered(
-        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS))[0]
-    monkeypatch.setattr(dyck, "_bounce4", rebuilt)
+    point, rows = dyck._compile("_bounce4", *dyck._lowered(
+        "k, a, b, c", "Path4", dyck._ROW4, dyck._H_PART_CUTS, dyck._H_PARTS))
+    monkeypatch.setattr(dyck, "_bounce4", point)
+    monkeypatch.setattr(dyck, "_bounce4_rows", rows)
     catalan._gf_rows.cache_clear()
     try:
         for region in ("P2C1", "P2C2", "P3C1", "P3C2"):
