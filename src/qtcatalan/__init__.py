@@ -7,17 +7,12 @@ brute-force enumeration.
 """
 
 from .polynomial import SparsePoly, VarTable
-from .dyck import (KVec3, ParamPath3, Path3, Path4, area3, area4,
-                   area_from_runs, bounce3, bounce3_bd, bounce4,
-                   bounce4_case, bounce_from_runs, ceil_div, count_paths3,
-                   enumerate_paths3, enumerate_paths4, to_param3,
-                   to_redrank3)
+from .dyck import (KVec3, Path3, Path4, ceil_div, enumerate_paths3,
+                   enumerate_paths4)
 from .catalan import (F_REGIONS, H_REGIONS, catalan_poly3,
                       catalan_poly_k4, catalan_poly_lambda3, gf_series3,
-                      gf_series4, refined_poly3, refined_poly4,
-                      region_of_path3, region_of_path4)
-from .involution import (CASE_EXCHANGE, InvolutionReport, apply_involution,
-                         classify, classify_phi, classify_psi,
+                      gf_series4, refined_poly3, refined_poly4)
+from .involution import (CASE_EXCHANGE, InvolutionReport, classify,
                          involution_map, lemma4_check, parity_x, parity_y,
                          phi, psi, verify_involution)
 from .omega import (EliminationSpec, FactoredOmegaExpr, SeriesDiff, WeightVector,

@@ -17,9 +17,8 @@ from operator import attrgetter, itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
-from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce4_rows,
-                   _check_type, _classified3, _classified4, _discard, _rows3, _rows4,
-                   _runs4, enumerate_paths4)
+from .dyck import (_ROW3, _ROW4, F_REGIONS, H_REGIONS, KVec3, _bounce4_rows, _check_type,
+                   _discard, _rows3, _rows4, _runs4, enumerate_paths4)
 from .polynomial import SparsePoly, VarTable
 
 QT_VARS = ("q", "t")
@@ -29,16 +28,6 @@ GF3_VARS = ("q", "t", "x1", "x2", "x3")
 GF3_REFINED_VARS = tuple(_ROW3)
 GF4_VARS = ("q", "t", "x")
 GF4_REFINED_VARS = tuple(_ROW4)
-
-
-def region_of_path3(p: Path3) -> str:
-    """Bounce region of a length-3 path (partition of the (r2, r3) grid)."""
-    return F_REGIONS[_classified3(p)[0]]
-
-
-def region_of_path4(p: Path4) -> str:
-    """Bounce region of a k^4 path (one of the eight cases)."""
-    return H_REGIONS[_classified4(p)[0]]
 
 
 def _tally(names: Sequence[str], columns: Sequence[str],

@@ -1,19 +1,21 @@
 """Path models and statistics for length-3 vectors and for k^4.
 
 A path for a vector (k1, k2, k3) is determined by its red ranks
-(r1 = 0, r2, r3) with 0 <= r2 <= k1 and 0 <= r3 <= r2 + k2.  The same path
-can be described by run parameters (b, d): b down-steps after the first
-up-run and d after the second, with r2 = a - b and r3 = a - b + c - d for
-(a, c, e) = (k1, k2, k3).  A path for k^4 is determined by run parameters
-(a, b, c) with 0 <= a <= k, 0 <= b <= 2k - a, 0 <= c <= 3k - a - b.  These
-paths fall into runs (k, a, b) of consecutive c, listed once by
-:func:`_runs4`, which the enumeration and the row stream both follow.
+(r1 = 0, r2, r3) with 0 <= r2 <= k1 and 0 <= r3 <= r2 + k2.  The
+involutions describe the same path by run parameters (b, d): b down-steps
+after the first up-run and d after the second, with r2 = a - b and
+r3 = a - b + c - d for (a, c, e) = (k1, k2, k3).  A path for k^4 is
+determined by run parameters (a, b, c) with 0 <= a <= k, 0 <= b <= 2k - a,
+0 <= c <= 3k - a - b.  These paths fall into runs (k, a, b) of consecutive
+c, listed once by :func:`_runs4`, which the enumeration and the row stream
+both follow.
 
 The statistics are area (sum of red ranks) and bounce, neither depending on
-the last vector component.  Each family's path model, which omega's crude
-forms are built from, is here: its domain rows, its row table, and its
-region tables, which define the bounce; :func:`_regions` numbers and labels
-their regions.  :func:`_compile`, the package's one code generator, writes
+the last vector component; ``Path3.stats()`` and ``Path4.stats()`` give a
+path's region, area and bounce.  Each family's path model, which omega's
+crude forms are built from, is here: its domain rows, its row table, and
+its region tables, which define the bounce; :func:`_regions` numbers and
+labels their regions.  :func:`_compile`, the package's one code generator, writes
 straight-line code from a first-match table of rows over floor(row/z)
 symbols; the region tables are lowered into it, each split's overlap check
 being guard cases, and compiled to the path classifiers (a path's region
@@ -444,21 +446,10 @@ class Path3:
         if not (0 <= self.r3 <= self.r2 + self.k.k2):
             raise ValueError(f"r3={self.r3} out of range [0, {self.r2 + self.k.k2}]")
 
-
-@dataclass(frozen=True)
-class ParamPath3:
-    """Path for (a, c, e) in run-parameter form (b, d)."""
-
-    a: int
-    c: int
-    e: int
-    b: int
-    d: int
-
-    def __post_init__(self):
-        if any(type(x) is not int or x < 0 for x in (self.a, self.c, self.e, self.b, self.d)):
-            raise ValueError(f"parameters must be nonnegative integers: {self}")
-        _check_runs("ParamPath3", self.a, self.c, self.b, self.d)
+    def stats(self) -> tuple[str, int, int]:
+        """(region label in F_REGIONS, area, bounce), by one classifier call."""
+        region, bounce, area = _bounce3(self.k.k1, self.k.k2, self.r2, self.r3)
+        return F_REGIONS[region], area, bounce
 
 
 @dataclass(frozen=True, slots=True)
@@ -488,72 +479,16 @@ class Path4:
         k, a, b, c = self.k, self.a, self.b, self.c
         return (0, k - a, 2 * k - a - b, 3 * k - a - b - c)
 
-
-def count_paths3(k: KVec3) -> int:
-    """Closed-form path count (k1+1)(k2+1) + k1(k1+1)/2."""
-    _check_type(k, KVec3)
-    return (k.k1 + 1) * (k.k2 + 1) + k.k1 * (k.k1 + 1) // 2
+    def stats(self) -> tuple[str, int, int]:
+        """(region label in H_REGIONS, area, bounce), by one classifier call."""
+        region, bounce, area = _bounce4(self.k, self.a, self.b, self.c)
+        return H_REGIONS[region], area, bounce
 
 
 def enumerate_paths3(k: KVec3) -> list[Path3]:
     """All paths for k, ordered lexicographically by (r2, r3)."""
     _check_type(k, KVec3)
     return [Path3(k, r2, r3) for r2 in range(k.k1 + 1) for r3 in range(r2 + k.k2 + 1)]
-
-
-def _classified3(p: Path3) -> tuple[int, int, int]:
-    """(region, bounce, area) of ``p``, which must be a Path3."""
-    _check_type(p, Path3)
-    return _bounce3(p.k.k1, p.k.k2, p.r2, p.r3)
-
-
-def area3(p: Path3) -> int:
-    """Sum of red ranks: r2 + r3."""
-    return _classified3(p)[2]
-
-
-def bounce3(p: Path3) -> int:
-    """Bounce statistic from the red ranks, by the region tables."""
-    return _classified3(p)[1]
-
-
-def _check_runs(name: str, a: int, c: int, b: int, d: int) -> None:
-    """Raise ValueError naming ``name`` unless (b, d) are integer run
-    parameters of a path for (a, c): all nonnegative, b <= a, d <= a - b + c."""
-    _check_ints(name, a, c, b, d)
-    if min(a, c, b, d, a - b, a - b + c - d) < 0:
-        raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
-
-
-def area_from_runs(a: int, c: int, b: int, d: int) -> int:
-    """Area in run parameters: r2 + r3 = 2a - 2b + c - d."""
-    _check_runs("area_from_runs", a, c, b, d)
-    return _bounce3(a, c, a - b, a - b + c - d)[2]
-
-
-def bounce_from_runs(a: int, c: int, b: int, d: int) -> int:
-    """Bounce in run parameters (e plays no role)."""
-    _check_runs("bounce_from_runs", a, c, b, d)
-    return _bounce3(a, c, a - b, a - b + c - d)[1]
-
-
-def bounce3_bd(p: ParamPath3) -> int:
-    _check_type(p, ParamPath3)
-    return bounce_from_runs(p.a, p.c, p.b, p.d)
-
-
-def to_param3(p: Path3) -> ParamPath3:
-    """Convert red ranks to run parameters: b = a - r2, d = r2 + c - r3."""
-    _check_type(p, Path3)
-    a, c, e = p.k.k1, p.k.k2, p.k.k3
-    return ParamPath3(a, c, e, a - p.r2, p.r2 + c - p.r3)
-
-
-def to_redrank3(p: ParamPath3) -> Path3:
-    """Inverse of :func:`to_param3`."""
-    _check_type(p, ParamPath3)
-    r2 = p.a - p.b
-    return Path3(KVec3(p.a, p.c, p.e), r2, r2 + p.c - p.d)
 
 
 # ----------------------------------------------------------------------
@@ -580,24 +515,3 @@ def enumerate_paths4(k: int) -> list[Path4]:
 _set_k, _set_a, _set_b, _set_c = (Path4.__dict__[name].__set__ for name in "kabc")
 # runs an iterator to its end in C, keeping nothing
 _drain = deque(maxlen=0).extend
-
-
-def _classified4(p: Path4) -> tuple[int, int, int]:
-    """(region, bounce, area) of ``p``, which must be a Path4."""
-    _check_type(p, Path4)
-    return _bounce4(p.k, p.a, p.b, p.c)
-
-
-def area4(p: Path4) -> int:
-    """Sum of red ranks: 6k - 3a - 2b - c."""
-    return _classified4(p)[2]
-
-
-def bounce4_case(p: Path4) -> int:
-    """Number (1..8) of the unique bounce case containing the path."""
-    return _classified4(p)[0] + 1
-
-
-def bounce4(p: Path4) -> int:
-    """Bounce statistic for k^4 paths, by the eight-region table."""
-    return _classified4(p)[1]

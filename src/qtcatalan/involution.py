@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from . import dyck
-from .dyck import (Linear, ParamPath3, _check_ints, _check_runs, _check_type, _discard,
-                   _negated, _reversed, ceil_div)
+from .dyck import Linear, _check_ints, _discard, _negated, _reversed, ceil_div
 
 CASE_EXCHANGE = {
     "L11": "L11", "L22": "L22", "L12": "L21", "L21": "L12",
@@ -63,17 +62,21 @@ def lemma4_check(c: int, d: int) -> bool:
 # the cases, as data
 
 # Derived symbols, in dyck._compile's format name -> (row, z) for
-# floor(row/z): h = floor((d + 1)/2) = ceil(d/2), f = floor(d/2), and the
-# halves u = floor((a - b + c - d)/2) and v = floor((c + h)/2) the images of
-# L12/G22 and L22/G32 use; x and y (z = 1) are their remainders, parity_x
-# and parity_y.
+# floor(row/z): h = floor((d + 1)/2) = ceil(d/2), f = floor(d/2), the
+# affine w = a - b + c - d and g = c + h (z = 1), and the halves
+# u = floor(w/2) and v = floor(g/2) the images of L12/G22 and L22/G32 use;
+# x = w - 2u and y = g - 2v (z = 1) are their remainders, parity_x and
+# parity_y.  Each row is written once, so the generated code computes each
+# once.
 _SYMBOLS = {
     "h": ({"d": 1, "const": 1}, 2),
     "f": ({"d": 1}, 2),
-    "u": ({"a": 1, "b": -1, "c": 1, "d": -1}, 2),
-    "v": ({"c": 1, "h": 1}, 2),
-    "x": ({"a": 1, "b": -1, "c": 1, "d": -1, "u": -2}, 1),
-    "y": ({"c": 1, "h": 1, "v": -2}, 1),
+    "w": ({"a": 1, "b": -1, "c": 1, "d": -1}, 1),
+    "g": ({"c": 1, "h": 1}, 1),
+    "u": ({"w": 1}, 2),
+    "v": ({"g": 1}, 2),
+    "x": ({"w": 1, "u": -2}, 1),
+    "y": ({"g": 1, "v": -2}, 1),
 }
 
 # The map split and the cuts between cases, each row meaning row >= 0
@@ -128,6 +131,14 @@ def _generate(cases: Sequence[tuple[str, list[Linear], tuple[Linear, Linear]]]
 _case, _case_rows = _generate(_CASES)
 
 
+def _check_runs(name: str, a: int, c: int, b: int, d: int) -> None:
+    """Raise ValueError naming ``name`` unless (b, d) are integer run
+    parameters of a path for (a, c): all nonnegative, b <= a, d <= a - b + c."""
+    _check_ints(name, a, c, b, d)
+    if min(a, c, b, d, a - b, a - b + c - d) < 0:
+        raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
+
+
 def _checked_case(a: int, c: int, b: int, d: int, name: str,
                   a_le_c: bool | None) -> tuple[str, tuple[int, int]]:
     """:func:`_case` after checking the input to ``name``: integers, a valid path,
@@ -138,23 +149,9 @@ def _checked_case(a: int, c: int, b: int, d: int, name: str,
     return _case(a, c, b, d)
 
 
-def classify_phi(a: int, c: int, b: int, d: int) -> str:
-    """Case label for the a <= c map."""
-    return _checked_case(a, c, b, d, "classify_phi", True)[0]
-
-
 def phi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
     """Involution on paths with a <= c, exchanging area and bounce."""
     return _checked_case(a, c, b, d, "phi", True)[1]
-
-
-def classify_psi(a: int, c: int, b: int, d: int) -> str:
-    """Case label for the a > c map.
-
-    The two singleton cases G12 (b = 0, d = 2c) and G21 (b = a - c,
-    d = 2(a - b)) are carved out of their enclosing regions first.
-    """
-    return _checked_case(a, c, b, d, "classify_psi", False)[0]
 
 
 def psi(a: int, c: int, b: int, d: int) -> tuple[int, int]:
@@ -170,13 +167,6 @@ def classify(a: int, c: int, b: int, d: int) -> str:
 def involution_map(a: int, c: int, b: int, d: int) -> tuple[int, int]:
     """Image of (b, d) under phi (a <= c) or psi (a > c)."""
     return _checked_case(a, c, b, d, "involution_map", None)[1]
-
-
-def apply_involution(p: ParamPath3) -> ParamPath3:
-    """Apply the statistic-exchanging involution to a full path."""
-    _check_type(p, ParamPath3)
-    b2, d2 = involution_map(p.a, p.c, p.b, p.d)
-    return ParamPath3(p.a, p.c, p.e, b2, d2)
 
 
 @dataclass

@@ -12,9 +12,8 @@ from pathlib import Path
 
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, catalan_poly3,
                                catalan_poly_k4, catalan_poly_lambda3)
-from qtcatalan.dyck import (KVec3, ceil_div, enumerate_paths3,
-                            enumerate_paths4, bounce3, bounce3_bd,
-                            bounce4_case, to_param3)
+from qtcatalan.dyck import (KVec3, _bounce3_rows, ceil_div, enumerate_paths3,
+                            enumerate_paths4)
 from qtcatalan.involution import lemma4_check, verify_involution
 from qtcatalan.omega import GF_SECTIONS, check_gf_section
 from qtcatalan.polynomial import SparsePoly
@@ -128,14 +127,26 @@ def test_criterion_10_ceiling_identities():
 
 def test_criterion_11_formula_coherence():
     with criterion(11, "bounce formulas agree; k^4 cases partition, k <= 12", 10):
-        for k1 in range(13):
-            for k2 in range(13):
-                for k3 in range(13):
-                    for p in enumerate_paths3(KVec3(k1, k2, k3)):
-                        assert bounce3(p) == bounce3_bd(to_param3(p)), p
+        # each length-3 path classified two ways: by Path3.stats() at its
+        # red ranks, and in run coordinates (a, c) = (k1, k2), b ascending,
+        # by one _bounce3_rows call per row b over r3 = a - b + c - d, d
+        # ascending, as verify_involution reads it
+        for a in range(13):
+            for c in range(13):
+                runs = []
+                for b in range(a + 1):
+                    regions, bounces, areas, r2 = [], [], [], a - b
+                    _bounce3_rows(a, c, r2, range(r2 + c, -1, -1),
+                                  regions.append, bounces.append, areas.append)
+                    runs += [(r2, r2 + c - d, F_REGIONS[region], area, bounce)
+                             for d, (region, area, bounce)
+                             in enumerate(zip(regions, areas, bounces))]
+                for e in range(13):
+                    paths = [(p.r2, p.r3, *p.stats()) for p in enumerate_paths3(KVec3(a, c, e))]
+                    assert sorted(paths) == sorted(runs), (a, c, e)
         for k in range(13):
             for p in enumerate_paths4(k):
-                bounce4_case(p)  # raises unless exactly one case fires
+                p.stats()  # raises unless exactly one case fires
 
 
 def test_criterion_12_golden_anchor():

@@ -8,9 +8,8 @@ from qtcatalan import catalan, dyck
 from qtcatalan.catalan import (F_REGIONS, H_REGIONS, catalan_poly3,
                                catalan_poly_k4, catalan_poly_lambda3,
                                gf_series3, gf_series4, refined_poly3,
-                               refined_poly4, region_of_path3, region_of_path4)
-from qtcatalan.dyck import (KVec3, area3, area4, bounce3, bounce4,
-                            enumerate_paths3, enumerate_paths4)
+                               refined_poly4)
+from qtcatalan.dyck import KVec3, Path4, enumerate_paths3, enumerate_paths4
 from qtcatalan.polynomial import SparsePoly, VarTable
 
 QT = VarTable(("q", "t"))
@@ -98,7 +97,7 @@ def test_catalan_poly_k4():
 def test_catalan_poly_k4_classifies_each_path_once(monkeypatch):
     # one _bounce4_rows call per run (k, a, b) of _runs4 classifies that
     # run's paths, each once, in the order of enumerate_paths4; the per-path
-    # views area4 and bounce4 are not called
+    # accessor Path4.stats is not called
     calls, views = [], []
     real = catalan._bounce4_rows
 
@@ -107,16 +106,12 @@ def test_catalan_poly_k4_classifies_each_path_once(monkeypatch):
         calls.append((k, a, b, cs))
         return real(k, a, b, cs, *appenders)
 
-    def view(name):
-        def record(p):
-            views.append(name)
-            return 0
-        return record
+    def view(p):
+        views.append(p)
+        return "P1C1", 0, 0
 
     monkeypatch.setattr(catalan, "_bounce4_rows", recording)
-    for name in ("area4", "bounce4"):
-        monkeypatch.setattr(dyck, name, view(name))
-        monkeypatch.setattr(catalan, name, view(name), raising=False)
+    monkeypatch.setattr(Path4, "stats", view)
     for k in range(7):
         calls.clear()
         catalan_poly_k4(k)
@@ -208,7 +203,7 @@ def test_f_partition_follows_the_paper_inequalities():
                     region = "P1C1" if r2 - r3 - k2 >= 0 else "P1C2"
                 else:
                     region = "P2C1" if k2 - r2 - r3 >= 0 else "P2C2"
-                assert region_of_path3(p) == region, (k1, k2, r2, r3)
+                assert p.stats()[0] == region, (k1, k2, r2, r3)
                 counts[region] += 1
             for region, n in counts.items():
                 assert sum(refined_poly3(k, region).terms.values()) == n, (k1, k2, region)
@@ -218,7 +213,7 @@ def test_region_of_path3_matches_filters():
     k = KVec3(3, 2, 0)
     seen = {region: 0 for region in F_REGIONS}
     for p in enumerate_paths3(k):
-        seen[region_of_path3(p)] += 1
+        seen[p.stats()[0]] += 1
     assert sum(seen.values()) == len(enumerate_paths3(k))
 
 
@@ -240,19 +235,21 @@ def test_gf_series4_structure():
 
 def reference_sum3(k, region, refined):
     """(area, bounce) exponents, with (r2, r3) when refined, of the validated
-    Path3 objects for k in ``region``, from the public statistics."""
-    return Counter((area3(p), bounce3(p)) + ((p.r2, p.r3) if refined else ())
-                   for p in enumerate_paths3(k) if region in (None, region_of_path3(p)))
+    Path3 objects for k in ``region``, from their stats()."""
+    return Counter(stats[1:] + ((p.r2, p.r3) if refined else ())
+                   for p in enumerate_paths3(k) for stats in [p.stats()]
+                   if region in (None, stats[0]))
 
 
 def reference_sum4(k, region, refined):
     """As :func:`reference_sum3`, from Path4 objects, with (a, b, c)."""
-    return Counter((area4(p), bounce4(p)) + ((p.a, p.b, p.c) if refined else ())
-                   for p in enumerate_paths4(k) if region in (None, region_of_path4(p)))
+    return Counter(stats[1:] + ((p.a, p.b, p.c) if refined else ())
+                   for p in enumerate_paths4(k) for stats in [p.stats()]
+                   if region in (None, stats[0]))
 
 
 def reference_gf3(n, region, refined):
-    """gf_series3 from validated Path3 objects and the public statistics."""
+    """gf_series3 from validated Path3 objects and their stats()."""
     names = ("q", "t", "x1", "x2", "x3") + (("y2", "y3") if refined else ())
     terms = Counter()
     for k1 in range(n + 1):
@@ -265,7 +262,7 @@ def reference_gf3(n, region, refined):
 
 
 def reference_gf4(n, region, refined):
-    """gf_series4 from validated Path4 objects and the public statistics."""
+    """gf_series4 from validated Path4 objects and their stats()."""
     names = ("q", "t", "x") + (("y2", "y3", "y4") if refined else ())
     terms = Counter()
     for k in range(n + 1):

@@ -11,7 +11,7 @@ import pytest
 
 import qtcatalan
 from qtcatalan.cli import main
-from qtcatalan.dyck import KVec3, area3, bounce3, enumerate_paths3, to_param3
+from qtcatalan.dyck import KVec3, enumerate_paths3
 from qtcatalan.involution import classify
 
 
@@ -199,14 +199,14 @@ def test_table_stats4_classifies_each_path_once(capsys, monkeypatch):
 
 
 def _stats3_rows_from_path_objects(k: KVec3) -> list[dict]:
-    # the stats3 table as built from validated path objects and per-path
-    # views, the reference for the table read from the row stream
+    # the stats3 table as built from validated path objects and their
+    # stats(), the reference for the table read from the row stream
     rows = []
     for p in enumerate_paths3(k):
-        pp = to_param3(p)
-        rows.append({"r2": p.r2, "r3": p.r3, "b": pp.b, "d": pp.d,
-                     "area": area3(p), "bounce": bounce3(p),
-                     "case": classify(pp.a, pp.c, pp.b, pp.d)})
+        _, area, bounce = p.stats()
+        b, d = k.k1 - p.r2, p.r2 + k.k2 - p.r3  # run parameters
+        rows.append({"r2": p.r2, "r3": p.r3, "b": b, "d": d, "area": area, "bounce": bounce,
+                     "case": classify(k.k1, k.k2, b, d)})
     return rows
 
 

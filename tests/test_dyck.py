@@ -7,12 +7,8 @@ from itertools import product
 import pytest
 
 from qtcatalan import dyck
-from qtcatalan.catalan import region_of_path3, region_of_path4
-from qtcatalan.dyck import (KVec3, ParamPath3, Path3, Path4, _bounce3, _bounce4,
-                            area3, area4, area_from_runs, bounce3, bounce3_bd, bounce4,
-                            bounce4_case, bounce_from_runs, ceil_div, count_paths3,
-                            enumerate_paths3, enumerate_paths4, to_param3, to_redrank3)
-from qtcatalan.involution import apply_involution
+from qtcatalan.dyck import (F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3, _bounce4,
+                            ceil_div, enumerate_paths3, enumerate_paths4)
 
 
 @pytest.mark.parametrize("a, z, expected", [
@@ -78,31 +74,6 @@ def test_enumerate_paths3_rejects_a_vector_that_is_not_a_kvec3():
         enumerate_paths3((1, 1, 1))
 
 
-def test_count_paths3_rejects_a_vector_that_is_not_a_kvec3():
-    with pytest.raises(ValueError, match="KVec3"):
-        count_paths3((1, 1, 1))
-
-
-@pytest.mark.parametrize("value", [(1, 1, 1), None], ids=("tuple", "None"))
-@pytest.mark.parametrize("accessor, expected", [
-    (area3, "Path3"), (bounce3, "Path3"), (to_param3, "Path3"), (region_of_path3, "Path3"),
-    (area4, "Path4"), (bounce4, "Path4"), (bounce4_case, "Path4"), (region_of_path4, "Path4"),
-    (bounce3_bd, "ParamPath3"), (to_redrank3, "ParamPath3"), (apply_involution, "ParamPath3"),
-], ids=lambda v: getattr(v, "__name__", v))
-def test_per_path_accessors_reject_what_is_not_their_path_type(accessor, expected, value):
-    # each once failed with AttributeError on the first attribute it read
-    with pytest.raises(ValueError, match=f"^expected a {expected}, got "):
-        accessor(value)
-
-
-@pytest.mark.parametrize("params", [
-    (1.5, 2, 0, 0, 0), (2, 1, 0, 1.0, 0), (1, 1, True, 0, 0), (1, 1, 1, 0, False),
-])
-def test_param_path3_rejects_non_integers(params):
-    with pytest.raises(ValueError, match="nonnegative integers"):
-        ParamPath3(*params)
-
-
 def test_enumerate_paths3_counts_and_order():
     assert [(p.r2, p.r3) for p in enumerate_paths3(KVec3(0, 0, 0))] == [(0, 0)]
     assert len(enumerate_paths3(KVec3(1, 1, 1))) == 5
@@ -116,7 +87,7 @@ def test_enumerate_paths3_matches_closed_count():
         for k2 in range(21):
             for k3 in (0, 20):
                 k = KVec3(k1, k2, k3)
-                assert len(enumerate_paths3(k)) == count_paths3(k)
+                assert len(enumerate_paths3(k)) == (k1 + 1) * (k2 + 1) + k1 * (k1 + 1) // 2
 
 
 @pytest.mark.parametrize("k, r2, r3, a, b", [
@@ -126,9 +97,7 @@ def test_enumerate_paths3_matches_closed_count():
     ((2, 1, 3), 2, 3, 5, 0),
 ])
 def test_area3_bounce3_values(k, r2, r3, a, b):
-    p = Path3(KVec3(*k), r2, r3)
-    assert area3(p) == a
-    assert bounce3(p) == b
+    assert Path3(KVec3(*k), r2, r3).stats()[1:] == (a, b)
 
 
 def test_statistics_nonnegative_and_maximal_path():
@@ -136,20 +105,19 @@ def test_statistics_nonnegative_and_maximal_path():
         for k2 in range(6):
             k = KVec3(k1, k2, 1)
             for p in enumerate_paths3(k):
-                assert area3(p) >= 0
-                assert bounce3(p) >= 0
-            top = Path3(k, k1, k1 + k2)
-            assert bounce3(top) == 0
-            assert area3(top) == 2 * k1 + k2
+                _, area, bounce = p.stats()
+                assert area >= 0
+                assert bounce >= 0
+            _, area, bounce = Path3(k, k1, k1 + k2).stats()
+            assert bounce == 0
+            assert area == 2 * k1 + k2
 
 
 def test_statistics_do_not_depend_on_last_component():
     for k1 in range(5):
         for k2 in range(5):
-            base = [(area3(p), bounce3(p))
-                    for p in enumerate_paths3(KVec3(k1, k2, 0))]
-            other = [(area3(p), bounce3(p))
-                     for p in enumerate_paths3(KVec3(k1, k2, 7))]
+            base = [p.stats() for p in enumerate_paths3(KVec3(k1, k2, 0))]
+            other = [p.stats() for p in enumerate_paths3(KVec3(k1, k2, 7))]
             assert base == other
 
 
@@ -159,42 +127,8 @@ def test_statistics_do_not_depend_on_last_component():
     (2, 1, 0, 2, 1),
 ])
 def test_bounce3_bd_values(a, c, b, d, expected):
-    assert bounce3_bd(ParamPath3(a, c, 0, b, d)) == expected
-
-
-@pytest.mark.parametrize("runs, match", [
-    ((1.5, 1, 0, 0), "requires integers"),   # a non-integer
-    ((1, -1, 0, 0), "not a valid path"),     # a negative value
-    ((1, 1, 5, 0), "not a valid path"),      # b > a
-    ((1, 1, 0, 3), "not a valid path"),      # d > a - b + c
-])
-@pytest.mark.parametrize("statistic", [area_from_runs, bounce_from_runs])
-def test_run_statistics_reject_what_is_no_path(statistic, runs, match):
-    with pytest.raises(ValueError, match=match):
-        statistic(*runs)
-
-
-def test_param_conversion_pinned_values():
-    p = Path3(KVec3(1, 1, 1), 1, 2)
-    pp = to_param3(p)
-    assert (pp.b, pp.d) == (0, 0)
-    assert to_redrank3(pp) == p
-
-
-def test_param_round_trip_and_bounce_agreement():
-    for p in enumerate_paths3(KVec3(3, 2, 1)):
-        assert to_redrank3(to_param3(p)) == p
-    for k1 in range(7):
-        for k2 in range(7):
-            for p in enumerate_paths3(KVec3(k1, k2, 1)):
-                assert bounce3(p) == bounce3_bd(to_param3(p))
-
-
-def test_param_path_validation():
-    with pytest.raises(ValueError):
-        ParamPath3(1, 1, 1, 2, 0)  # b > a
-    with pytest.raises(ValueError):
-        ParamPath3(1, 1, 1, 0, 3)  # d too large
+    # run parameters (b, d) are the red ranks r2 = a - b, r3 = a - b + c - d
+    assert Path3(KVec3(a, c, 0), a - b, a - b + c - d).stats()[2] == expected
 
 
 def test_enumerate_paths4_counts():
@@ -255,18 +189,16 @@ def test_path4_rejects_non_integers(kabc):
     ((0, 1, 0), 4, 2),
 ])
 def test_area4_bounce4_k1(abc, area, bounce):
-    p = Path4(1, *abc)
-    assert area4(p) == area
-    assert bounce4(p) == bounce
+    assert Path4(1, *abc).stats()[1:] == (area, bounce)
 
 
 def test_bounce4_cases_partition_small():
     for k in range(7):
         for p in enumerate_paths4(k):
-            case = bounce4_case(p)  # raises unless exactly one fires
-            assert 1 <= case <= 8
-            assert area4(p) >= 0
-            assert bounce4(p) >= 0
+            label, area, bounce = p.stats()  # raises unless exactly one case fires
+            assert 1 <= H_REGIONS.index(label) + 1 <= 8
+            assert area >= 0
+            assert bounce >= 0
 
 
 def test_bounce4_overlapping_cases_name_the_path():
@@ -350,7 +282,8 @@ def test_bounce4_matches_the_eight_branch_reference_on_paths():
     for k in range(13):
         for p in enumerate_paths4(k):
             want = reference_bounce4(k, p.a, p.b, p.c)
-            assert (bounce4_case(p), bounce4(p), area4(p)) == want, p
+            label, area, bounce = p.stats()
+            assert (H_REGIONS.index(label) + 1, bounce, area) == want, p
     # every path with k <= 24, as plain tuples
     for k in range(25):
         for a in range(k + 1):
@@ -475,3 +408,19 @@ def test_row_streams_restate_the_row_tables():
     # negative control: a row table with a wrong area coefficient is caught
     wrong = {**dyck._ROW4, "q": {**dyck._ROW4["q"], "c": -2}}
     assert _row_mismatches(dyck._rows4(KS4), paths4, names4, wrong, _bounce4)
+
+
+def test_stats_are_the_region_area_and_bounce_of_the_row_streams():
+    # each path object's stats() against the row its family's stream yields
+    # for the same path, region numbers read as labels
+    got3 = [(p.k.k1, p.k.k2, p.k.k3, p.r2, p.r3, *p.stats())
+            for k in VECTORS3 for p in enumerate_paths3(KVec3(*k))]
+    want3 = [(*path, F_REGIONS[region], area, bounce)
+             for region, (area, bounce, *path) in dyck._rows3(VECTORS3)]
+    assert got3 == want3
+    got4 = [(p.k, p.a, p.b, p.c, *p.stats()) for k in KS4 for p in enumerate_paths4(k)]
+    want4 = [(*path, H_REGIONS[region], area, bounce)
+             for region, (area, bounce, *path) in dyck._rows4(KS4)]
+    assert got4 == want4
+    assert {label for *_, label, _, _ in got3} == set(F_REGIONS)
+    assert {label for *_, label, _, _ in got4} == set(H_REGIONS)

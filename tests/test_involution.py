@@ -3,11 +3,15 @@ import sys
 import pytest
 
 from qtcatalan import dyck, involution
-from qtcatalan.dyck import ParamPath3, area_from_runs, bounce_from_runs, ceil_div
-from qtcatalan.involution import (CASE_EXCHANGE, Failure, InvolutionReport,
-                                  apply_involution, classify, classify_phi,
-                                  classify_psi, involution_map, lemma4_check,
-                                  parity_x, parity_y, phi, psi, verify_involution)
+from qtcatalan.dyck import KVec3, Path3, ceil_div
+from qtcatalan.involution import (CASE_EXCHANGE, Failure, InvolutionReport, classify,
+                                  involution_map, lemma4_check, parity_x, parity_y, phi,
+                                  psi, verify_involution)
+
+
+def stats(a: int, c: int, b: int, d: int) -> tuple[int, int]:
+    """(area, bounce) of the path with run parameters (b, d) for (a, c)."""
+    return Path3(KVec3(a, c, 0), a - b, a - b + c - d).stats()[1:]
 
 
 def test_parity_indicators():
@@ -39,9 +43,9 @@ def test_lemma4_exhaustive_small():
 
 
 def test_classify_phi_pinned_cases():
-    assert classify_phi(1, 1, 0, 0) == "L21"
-    assert classify_phi(1, 1, 1, 1) == "L12"
-    assert classify_phi(1, 3, 0, 2) == "L11"
+    assert classify(1, 1, 0, 0) == "L21"
+    assert classify(1, 1, 1, 1) == "L12"
+    assert classify(1, 3, 0, 2) == "L11"
 
 
 def test_phi_pinned_images():
@@ -51,9 +55,9 @@ def test_phi_pinned_images():
 
 
 def test_classify_psi_pinned_cases():
-    assert classify_psi(2, 1, 0, 2) == "G12"
-    assert classify_psi(2, 1, 1, 2) == "G21"
-    assert classify_psi(2, 1, 0, 0) == "G31"
+    assert classify(2, 1, 0, 2) == "G12"
+    assert classify(2, 1, 1, 2) == "G21"
+    assert classify(2, 1, 0, 0) == "G31"
 
 
 def test_psi_pinned_images():
@@ -63,12 +67,12 @@ def test_psi_pinned_images():
 
 
 def test_preconditions():
+    with pytest.raises(ValueError, match="phi requires a <= c"):
+        phi(2, 1, 0, 0)
+    with pytest.raises(ValueError, match="psi requires a > c"):
+        psi(1, 1, 0, 0)
     with pytest.raises(ValueError):
-        classify_phi(2, 1, 0, 0)  # needs a <= c
-    with pytest.raises(ValueError):
-        classify_psi(1, 1, 0, 0)  # needs a > c
-    with pytest.raises(ValueError):
-        classify_phi(1, 1, 2, 0)  # invalid path
+        phi(1, 1, 2, 0)  # invalid path
     with pytest.raises(ValueError):
         psi(2, 1, 0, 4)  # invalid path
     # negative a or c is no path at all, whichever map the order selects
@@ -82,8 +86,8 @@ def test_preconditions():
 
 def test_non_integers_rejected():
     for call, args in ((phi, (1, 2, 0.5, 0)), (classify, (True, 3, 0, 0)),
-                       (classify_phi, (1, 2, 0, 1.0)), (psi, (3, 1, 0, False)),
-                       (classify_psi, (3.0, 1, 0, 0)), (involution_map, (1, "2", 0, 0))):
+                       (phi, (1, 2, 0, 1.0)), (psi, (3, 1, 0, False)),
+                       (psi, (3.0, 1, 0, 0)), (involution_map, (1, "2", 0, 0))):
         with pytest.raises(ValueError, match="requires integers"):
             call(*args)
     for a, c in ((2.5, 1), (1, True), (2, 1.0)):
@@ -92,20 +96,26 @@ def test_non_integers_rejected():
 
 
 def test_apply_involution_round_trip():
-    p = ParamPath3(1, 1, 1, 0, 0)
-    q = apply_involution(p)
-    assert (q.b, q.d) == (1, 1)
-    assert q.e == p.e
-    assert apply_involution(q) == p
+    assert involution_map(1, 1, 0, 0) == (1, 1)
+    assert involution_map(1, 1, 1, 1) == (0, 0)
 
 
 def test_statistic_exchange_example():
-    src = ParamPath3(1, 1, 0, 0, 0)
-    img = apply_involution(src)
-    assert (area_from_runs(src.a, src.c, src.b, src.d),
-            bounce_from_runs(src.a, src.c, src.b, src.d)) == (3, 0)
-    assert (area_from_runs(img.a, img.c, img.b, img.d),
-            bounce_from_runs(img.a, img.c, img.b, img.d)) == (0, 3)
+    image = involution_map(1, 1, 0, 0)
+    assert stats(1, 1, 0, 0) == (3, 0)
+    assert stats(1, 1, *image) == (0, 3)
+
+
+@pytest.mark.parametrize("runs, match", [
+    ((1.5, 1, 0, 0), "requires integers"),   # a non-integer
+    ((1, -1, 0, 0), "not a valid path"),     # a negative value
+    ((1, 1, 5, 0), "not a valid path"),      # b > a
+    ((1, 1, 0, 3), "not a valid path"),      # d > a - b + c
+])
+@pytest.mark.parametrize("call", [classify, involution_map])
+def test_run_parameters_reject_what_is_no_path(call, runs, match):
+    with pytest.raises(ValueError, match=match):
+        call(*runs)
 
 
 def test_g12_g21_exchange():
@@ -151,7 +161,7 @@ def test_g12_g21_are_singletons():
             counts = {"G12": 0, "G21": 0}
             for b in range(a + 1):
                 for d in range(a - b + c + 1):
-                    lab = classify_psi(a, c, b, d)
+                    lab = classify(a, c, b, d)
                     if lab in counts:
                         counts[lab] += 1
             assert counts == {"G12": 1, "G21": 1}
@@ -267,8 +277,8 @@ def _reference_verify(a, c):
             if back != (b, d):
                 fail(Failure(b, d, "not_involution"))
                 continue
-            if (area_from_runs(a, c, b2, d2) != bounce_from_runs(a, c, b, d)
-                    or bounce_from_runs(a, c, b2, d2) != area_from_runs(a, c, b, d)):
+            (area, bounce), (area2, bounce2) = stats(a, c, b, d), stats(a, c, b2, d2)
+            if area2 != bounce or bounce2 != area:
                 fail(Failure(b, d, "stat_mismatch"))
                 continue
             if label2 != CASE_EXCHANGE[label]:
