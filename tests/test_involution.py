@@ -243,6 +243,8 @@ MUTANTS = {
     "l11_fixed": lambda mp: _l11_sent_to(mp, lambda a, c, b, d: (b, d)),
     "l11_past_row_end": lambda mp: _l11_sent_to(mp, lambda a, c, b, d: (b, a - b + c + 1)),
     "l12_to_itself": lambda mp: mp.setitem(CASE_EXCHANGE, "L12", "L12"),
+    # one-sided exchanges met from either member of an L12/L21 pair
+    "l21_to_itself": lambda mp: mp.setitem(CASE_EXCHANGE, "L21", "L21"),
 }
 
 
@@ -289,10 +291,10 @@ def _reference_verify(a, c):
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_verify_involution_matches_the_reference_loop(monkeypatch, mutant):
     MUTANTS[mutant](monkeypatch)
-    for a in range(13):
-        for c in range(13):
-            assert (verify_involution(a, c).to_json_dict()
-                    == _reference_verify(a, c).to_json_dict()), (a, c)
+    pairs = [(a, c) for a in range(13) for c in range(13)]
+    for a, c in pairs + [(29, 30), (30, 29), (30, 30), (17, 40), (40, 17)]:
+        assert (verify_involution(a, c).to_json_dict()
+                == _reference_verify(a, c).to_json_dict()), (a, c)
 
 
 def test_verify_involution_makes_one_loop_call_per_row(monkeypatch):
