@@ -17,7 +17,6 @@ from .involution import (CASE_EXCHANGE, InvolutionReport, classify,
                          phi, psi, verify_involution)
 from .omega import (EliminationSpec, FactoredOmegaExpr, SeriesDiff, WeightVector,
                     build_crude_F, build_crude_H, closed_form,
-                    expand_truncated, series_equal, truncate_weighted,
-                    CLOSED_FORM_IDS)
+                    expand_truncated, series_equal, CLOSED_FORM_IDS)
 
 __version__ = "0.1.0"

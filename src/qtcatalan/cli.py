@@ -102,7 +102,7 @@ def _verify_gf(max_order: int) -> int:
                 # product form with the paths
                 left, right = name.split("_vs_") if region else ("product", "paths")
                 return _fail("gf", {"identity": name, **region,
-                                    "exps": dict(zip(diff.names, diff.witness)),
+                                    "exps": diff.witness,
                                     left: diff.left, right: diff.right})
         checked += terms
     return _pass("gf", checked)

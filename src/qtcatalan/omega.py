@@ -10,7 +10,9 @@ terms up to a weighted degree on the retained variables: by geometric
 division when nothing is eliminated (the closed forms), else (the crude
 forms) by a multiplicity search that settles each eliminated variable at
 the last factor touching it, as in the last-factor step of MacMahon's
-partition analysis (Andrews, Paule and Riese; Xin).
+partition analysis (Andrews, Paule and Riese; Xin).  Such an expansion
+holds no term past its bound, so :func:`series_equal` compares two of
+them, or one and a path sum on the same slice, term for term.
 
 The crude generating functions are *generated* by one builder, which looks
 a region up in the region list of :mod:`qtcatalan.dyck` and writes the
@@ -127,9 +129,6 @@ class FactoredOmegaExpr:
     def retained_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.vars if n not in self.elim)
 
-    def retained_vars(self) -> VarTable:
-        return VarTable(self.retained_names)
-
 
 def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     """Expand with elimination, exact up to retained weighted degree wv.bound.
@@ -183,7 +182,7 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
             raise ValueError(f"factor {desc} has nonpositive weight {w}; "
                              f"expansion would not terminate")
     if not expr.elim:
-        return SparsePoly._owning(expr.retained_vars(), _expand_geometric(
+        return SparsePoly._owning(VarTable(retained), _expand_geometric(
             expr.numerator, factors, fwt, w_full, wv.bound))
 
     ret_idx = [i for i, n in enumerate(names) if n not in expr.elim]
@@ -245,7 +244,7 @@ def expand_truncated(expr: FactoredOmegaExpr, wv: WeightVector) -> SparsePoly:
     # result's terms, alive until the cyclic GC next runs
     del rec
 
-    return SparsePoly._owning(expr.retained_vars(), acc)
+    return SparsePoly._owning(VarTable(retained), acc)
 
 
 def _expand_geometric(numerator: list[tuple[int, tuple[int, ...]]],
@@ -279,47 +278,33 @@ def _expand_geometric(numerator: list[tuple[int, tuple[int, ...]]],
     return {mono: c for bucket in buckets.values() for mono, c in bucket.items()}
 
 
-def truncate_weighted(p: SparsePoly, wv: WeightVector) -> SparsePoly:
-    """Drop terms of weighted degree above wv.bound."""
-    _check_types("truncate_weighted", (p, SparsePoly), (wv, WeightVector))
-    w = wv.resolve(p.vars)
-    return SparsePoly._owning(p.vars, {exps: c for exps, c in p.terms.items()
-                                       if sum(wi * e for wi, e in zip(w, exps)) <= wv.bound})
-
-
 @dataclass(frozen=True)
 class SeriesDiff:
-    """Outcome of a truncated series comparison."""
+    """Outcome of a series comparison."""
 
     equal: bool
-    witness: tuple[int, ...] | None = None
+    # the witness's exponent by variable name, in variable order
+    witness: Mapping[str, int] | None = None
     left: int = 0
     right: int = 0
-    # the variable table the witness's exponents follow
-    names: tuple[str, ...] = field(default=(), compare=False)
 
 
-def series_equal(p: SparsePoly, r: SparsePoly, wv: WeightVector) -> SeriesDiff:
-    """Compare all terms of weighted degree <= wv.bound.
+def series_equal(p: SparsePoly, r: SparsePoly) -> SeriesDiff:
+    """Compare two series term for term.
 
-    On mismatch the witness is the first differing exponent tuple in
-    canonical (descending lexicographic) order.  Once the variable tables
-    and weights are checked, equal term dicts end the comparison; else only
-    differing terms are weighed, so operands within the bound go untruncated.
+    Equal term dicts end the comparison.  On mismatch the witness is the
+    first differing exponent tuple in canonical (descending lexicographic)
+    order, whatever its degree, mapped name by name to its exponents.
     """
-    _check_types("series_equal", (p, SparsePoly), (r, SparsePoly), (wv, WeightVector))
+    _check_types("series_equal", (p, SparsePoly), (r, SparsePoly))
     if p.vars != r.vars:
         raise ValueError(f"variable table mismatch: {p.vars!r} vs {r.vars!r}")
-    w = wv.resolve(p.vars)
     pt, rt = p.terms, r.terms
     if pt == rt:
         return SeriesDiff(True)
-    diffs = [key for key in pt.keys() | rt.keys() if pt.get(key, 0) != rt.get(key, 0)
-             and sum(wi * e for wi, e in zip(w, key)) <= wv.bound]
-    if not diffs:
-        return SeriesDiff(True)
-    key = max(diffs)
-    return SeriesDiff(False, key, pt.get(key, 0), rt.get(key, 0), tuple(p.vars))
+    # a (key, coefficient) pair held by one side only marks a differing key
+    key = max(key for key, _ in pt.items() ^ rt.items())
+    return SeriesDiff(False, dict(zip(p.vars, key)), pt.get(key, 0), rt.get(key, 0))
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +408,8 @@ def check_gf_section(section: str, max_order: int
     with its closed form, then its closed form with the refined path sum of
     the region; an identity compares its product form with the plain path
     sum.  Each x has weight 1 and every other variable 0, so each side is
-    expanded, and compared, on exactly that slice, whatever the others hold.
+    expanded on exactly that slice, whatever the others hold, and the sides
+    are compared whole: a term past the order on any side fails the section.
 
     Returns the named comparisons in that order and the number of terms in
     the path sum.
@@ -438,8 +424,8 @@ def check_gf_section(section: str, max_order: int
     wv = WeightVector(max_order, {n: int(n in x_names) for n in oracle.vars})
     closed = expand_truncated(closed_form(_SECTION_IDS[section]), wv)
     if not region:
-        return [(section, series_equal(closed, oracle, wv))], len(oracle.terms)
+        return [(section, series_equal(closed, oracle))], len(oracle.terms)
     crude = expand_truncated((build_crude_F if three else build_crude_H)(region), wv)
-    return ([("crude_vs_closed", series_equal(crude, closed, wv)),
-             ("closed_vs_paths", series_equal(closed, oracle, wv))],
+    return ([("crude_vs_closed", series_equal(crude, closed)),
+             ("closed_vs_paths", series_equal(closed, oracle))],
             len(oracle.terms))

@@ -369,6 +369,48 @@ def test_verify_gf_reports_broken_identity_without_region(capsys, monkeypatch):
     assert err.splitlines()[-2:] == ["gf: H P3C3", "gf: EQ2"]
 
 
+def with_leak(series, order):
+    """``series`` plus one term x^(order + 1), just past the slice of total
+    x-degree <= ``order``, x being the first x variable."""
+    x = next(n for n in series.vars if n.startswith("x"))
+    return series + qtcatalan.SparsePoly.monomial(series.vars, {x: order + 1})
+
+
+def leak_oracle(fn):
+    def leaking(max_order, **kwargs):
+        return with_leak(fn(max_order, **kwargs), max_order)
+    return leaking
+
+
+def leak_closed_expansion(fn):
+    def leaking(expr, wv):
+        series = fn(expr, wv)
+        return series if expr.elim else with_leak(series, wv.bound)
+    return leaking
+
+
+@pytest.mark.parametrize("target, leak, failure", [
+    ("gf_series3", leak_oracle, ("closed_vs_paths", "F P1C1", "closed", 0, "paths", 1)),
+    ("gf_series4", leak_oracle, ("closed_vs_paths", "H P1C1", "closed", 0, "paths", 1)),
+    ("expand_truncated", leak_closed_expansion,
+     ("crude_vs_closed", "F P1C1", "crude", 0, "closed", 1)),
+], ids=("paths3", "paths4", "closed_form"))
+def test_verify_gf_fails_a_term_past_the_order(capsys, monkeypatch, target, leak, failure):
+    # every side is the exact slice, so one term of x-degree N + 1 on any
+    # side is a difference, not a term left out of the comparison
+    from qtcatalan import omega
+
+    monkeypatch.setattr(omega, target, leak(getattr(omega, target)))
+    code, out, _ = run(capsys, "verify", "--suite", "gf", "--truncate", "3")
+    assert code == 1
+    identity, region, left, lc, right, rc = failure
+    found = json.loads(out)["counterexample"]
+    exps = found.pop("exps")
+    assert found == {"identity": identity, "region": region, left: lc, right: rc}
+    assert sum(e for n, e in exps.items() if n.startswith("x")) == 4
+    assert sorted(e for e in exps.values() if e) == [4]
+
+
 def test_verify_involution_reports_wrong_case_exchange(capsys, monkeypatch):
     from qtcatalan.involution import CASE_EXCHANGE
 
