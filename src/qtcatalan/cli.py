@@ -210,7 +210,8 @@ def _run(args: argparse.Namespace) -> int:
             raise ValueError("--k must be nonnegative")
         else:
             poly = catalan_poly_k4(args.k)
-        print({"json": poly.to_json, "latex": poly.latex, "text": poly.text}[args.format]())
+        print({"json": lambda: json.dumps(poly.to_json_dict()),
+               "latex": poly.latex, "text": poly.text}[args.format]())
         return 0
     except ValueError as exc:
         args.usage_error(str(exc))  # exits 2

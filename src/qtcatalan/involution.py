@@ -21,7 +21,6 @@ Case labels and their exchange pattern:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -131,19 +130,13 @@ def _generate(cases: Sequence[tuple[str, list[Linear], tuple[Linear, Linear]]]
 _case, _case_rows = _generate(_CASES)
 
 
-def _check_runs(name: str, a: int, c: int, b: int, d: int) -> None:
-    """Raise ValueError naming ``name`` unless (b, d) are integer run
-    parameters of a path for (a, c): all nonnegative, b <= a, d <= a - b + c."""
+def _checked_case(a: int, c: int, b: int, d: int, name: str,
+                  a_le_c: bool | None) -> tuple[str, tuple[int, int]]:
+    """:func:`_case` after checking the input to ``name``: integers, (b, d) a
+    valid path for (a, c), and a <= c iff ``a_le_c`` (None: either map)."""
     _check_ints(name, a, c, b, d)
     if min(a, c, b, d, a - b, a - b + c - d) < 0:
         raise ValueError(f"(b={b}, d={d}) is not a valid path for (a={a}, c={c})")
-
-
-def _checked_case(a: int, c: int, b: int, d: int, name: str,
-                  a_le_c: bool | None) -> tuple[str, tuple[int, int]]:
-    """:func:`_case` after checking the input to ``name``: integers, a valid path,
-    and a <= c iff ``a_le_c`` (None: either map)."""
-    _check_runs(name, a, c, b, d)
     if a_le_c is not None and (a <= c) != a_le_c:
         raise ValueError(f"{name} requires a {'<=' if a_le_c else '>'} c, got a={a}, c={c}")
     return _case(a, c, b, d)
@@ -191,9 +184,6 @@ class InvolutionReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def describe(self) -> str:
         if self.ok:

@@ -31,7 +31,6 @@ which keeps golden files byte-stable.
 
 from __future__ import annotations
 
-import json
 from math import prod
 from struct import iter_unpack
 from typing import Iterable, Iterator, Mapping
@@ -176,16 +175,8 @@ class SparsePoly:
         return res
 
     @classmethod
-    def zero(cls, vars: VarTable) -> "SparsePoly":
-        return cls(vars)
-
-    @classmethod
     def constant(cls, vars: VarTable, value: int) -> "SparsePoly":
         return cls(vars, {(0,) * len(vars): value})
-
-    @classmethod
-    def one(cls, vars: VarTable) -> "SparsePoly":
-        return cls.constant(vars, 1)
 
     @classmethod
     def monomial(cls, vars: Iterable[str], exps: Mapping[str, int],
@@ -256,7 +247,7 @@ class SparsePoly:
     def __pow__(self, n: int) -> "SparsePoly":
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = SparsePoly.one(self.vars)
+        result = SparsePoly.constant(self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -344,9 +335,6 @@ class SparsePoly:
                       for exps, coeff in self.sorted_terms()],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
         if not isinstance(doc, Mapping):
@@ -372,10 +360,6 @@ class SparsePoly:
                 raise ValueError(f"duplicate exponent tuple {exps!r} in JSON terms")
             terms[exps] = coeff
         return cls(vars, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparsePoly":
-        return cls.from_json_dict(json.loads(text))
 
     def _render(self, power: str, times: str, name_of) -> str:
         if not self.terms:

@@ -22,7 +22,7 @@ def ones(p):
 
 
 def test_catalan_poly3_base_cases():
-    assert catalan_poly3(KVec3(0, 0, 0)) == SparsePoly.one(QT)
+    assert catalan_poly3(KVec3(0, 0, 0)) == SparsePoly.constant(QT, 1)
     assert catalan_poly3(KVec3(1, 1, 1)) == C111
     assert ones(catalan_poly3(KVec3(1, 1, 1))) == 5
 
@@ -69,7 +69,7 @@ def test_catalan_poly_lambda3_tallies_every_rearrangement_in_one_sweep(monkeypat
     vectors = sorted(set(permutations((3, 2, 1))))
     p = catalan_poly_lambda3((3, 2, 1))
     assert sweeps == [[KVec3(*v) for v in vectors]]
-    assert p == sum((catalan_poly3(KVec3(*v)) for v in vectors), SparsePoly.zero(QT))
+    assert p == sum((catalan_poly3(KVec3(*v)) for v in vectors), SparsePoly(QT))
 
 
 def test_catalan_poly_lambda3_input_validation():
@@ -86,7 +86,7 @@ def test_catalan_poly_lambda3_input_validation():
 
 
 def test_catalan_poly_k4():
-    assert catalan_poly_k4(0) == SparsePoly.one(QT)
+    assert catalan_poly_k4(0) == SparsePoly.constant(QT, 1)
     p = catalan_poly_k4(1)
     assert ones(p) == 14
     assert p.is_symmetric("q", "t")
@@ -127,15 +127,15 @@ def test_refined_poly3_collapses_to_plain():
     for k in [(0, 0, 0), (2, 1, 0), (1, 3, 2)]:
         k = KVec3(*k)
         assert refined_poly3(k).eval_ones(["y2", "y3"]) == catalan_poly3(k)
-    assert refined_poly3(KVec3(0, 0, 0)) == SparsePoly.one(
-        VarTable(("q", "t", "y2", "y3")))
+    assert refined_poly3(KVec3(0, 0, 0)) == SparsePoly.constant(
+        VarTable(("q", "t", "y2", "y3")), 1)
 
 
 def test_refined_poly3_region_filters_partition():
     for k1 in range(5):
         for k2 in range(5):
             k = KVec3(k1, k2, 1)
-            total = SparsePoly.zero(VarTable(("q", "t", "y2", "y3")))
+            total = SparsePoly(VarTable(("q", "t", "y2", "y3")))
             for region in F_REGIONS:
                 total = total + refined_poly3(k, region)
             assert total == refined_poly3(k)
@@ -148,7 +148,7 @@ def test_refined_poly4_collapses_and_partitions():
         assert refined_poly4(k).eval_ones(["y2", "y3", "y4"]) == plain
         assert ones(plain) * (4 * k + 5) == comb(4 * k + 5, 4)
     for k in range(4):
-        total = SparsePoly.zero(VarTable(("q", "t", "y2", "y3", "y4")))
+        total = SparsePoly(VarTable(("q", "t", "y2", "y3", "y4")))
         for region in H_REGIONS:
             total = total + refined_poly4(k, region)
         assert total == refined_poly4(k)
@@ -283,7 +283,7 @@ def test_gf_series_matches_path_object_reference(series, reference, regions):
                 want = reference(n, region, refined)
                 assert got.vars == want.vars and got == want, (n, region, refined)
             total = series(n, refined=refined)
-            parts = SparsePoly.zero(total.vars)
+            parts = SparsePoly(total.vars)
             for region in regions:
                 parts = parts + series(n, region=region, refined=refined)
             assert parts == total, (n, refined)

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from qtcatalan import dyck
+from qtcatalan import dyck, involution
 from qtcatalan.dyck import (F_REGIONS, H_REGIONS, KVec3, Path3, Path4, _bounce3, _bounce4,
                             ceil_div, enumerate_paths3, enumerate_paths4)
 
@@ -379,6 +379,77 @@ def test_paths_list_the_points_of_the_domain_rows():
     assert _paths(dyck._rows4(KS4)) == want4 == sorted(want4)
     for k in KS4:
         assert _paths(dyck._rows4([k])) == [(p.k, p.a, p.b, p.c) for p in enumerate_paths4(k)]
+
+
+def _accepts(make, *args) -> bool:
+    try:
+        make(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def _in_domain(domain, point: dict) -> bool:
+    return min(point.values()) >= 0 and all(_value(row, point) >= 0 for row in domain)
+
+
+def test_every_spelling_of_a_path_domain_accepts_the_same_points(monkeypatch):
+    # Each domain is written out by hand in several places beside _DOMAIN3/4.
+    # On a box whose free coordinates run from 2 below 0 to 2 past their
+    # largest value, each spelling's verdict on a point must be the domain
+    # rows' verdict: a nonnegative point where every row holds.
+    disagree = []
+
+    def compare(where, point, domain, verdicts):
+        if set(verdicts) != {_in_domain(domain, point)}:
+            disagree.append((where, point, verdicts))
+
+    for k1, k2, k3 in product(range(4), range(4), range(2)):
+        k = KVec3(k1, k2, k3)
+        listed = {(p.r2, p.r3) for p in enumerate_paths3(k)}
+        streamed = {(r2, r3) for *_, r2, r3 in _paths(dyck._rows3([(k1, k2, k3)]))}
+        for r2, r3 in product(range(-2, k1 + 3), range(-2, k1 + k2 + 3)):
+            point = {"k1": k1, "k2": k2, "k3": k3, "r2": r2, "r3": r3}
+            compare("Path3", point, dyck._DOMAIN3, (
+                _accepts(Path3, k, r2, r3), (r2, r3) in listed, (r2, r3) in streamed))
+
+    for k in range(4):
+        listed = {(p.a, p.b, p.c) for p in enumerate_paths4(k)}
+        runs = {(a, b, c) for a, b, n in dyck._runs4(k) for c in range(n)}
+        streamed = {(a, b, c) for _, a, b, c in _paths(dyck._rows4([k]))}
+        for a, b, c in product(range(-2, k + 3), range(-2, 2 * k + 3), range(-2, 3 * k + 3)):
+            point = {"k": k, "a": a, "b": b, "c": c}
+            compare("Path4", point, dyck._DOMAIN4, (
+                _accepts(Path4, k, a, b, c), (a, b, c) in listed, (a, b, c) in runs,
+                (a, b, c) in streamed))
+
+    # verify_involution, through a _case_rows that records the points its
+    # loops visit and sends each of them to one chosen image
+    visited = set()
+
+    def case_rows(a, c, b, ds, label_append, image_append):
+        for d in ds:
+            visited.add((b, d))
+            label_append("L11")
+            image_append(image)
+
+    monkeypatch.setattr(involution, "_case_rows", case_rows)
+    for a, c in product(range(5), repeat=2):
+        visited.clear()
+        image = (0, 0)  # a valid image for every (a, c) while the loops are recorded
+        involution.verify_involution(a, c)
+        loops = set(visited)
+        # the run parameters of the length-3 paths for (a, c)
+        listed = {(a - p.r2, p.r2 + c - p.r3) for p in enumerate_paths3(KVec3(a, c, 0))}
+        for b, d in product(range(-2, a + 3), range(-2, a + c + 3)):
+            image = (b, d)
+            valid_image = all(f.reason != "invalid_image"
+                              for f in involution.verify_involution(a, c).failures)
+            point = {"k1": a, "k2": c, "b": b, "d": d, "r2": a - b, "r3": a - b + c - d}
+            compare("involution_map", point, dyck._DOMAIN3, (
+                _accepts(involution.involution_map, a, c, b, d), (b, d) in loops,
+                (b, d) in listed, valid_image))
+    assert disagree == []
 
 
 def _row_mismatches(rows, paths: list[tuple], names: tuple[str, ...], table, classify

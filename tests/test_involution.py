@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -181,9 +182,10 @@ def test_report_with_failures_describes_and_serializes_them():
     assert rep.describe() == ("(a=1, c=1): 2 failures out of 5 paths\n"
                               "  (b=1, d=0): wrong_case_exchange\n"
                               "  (b=1, d=1): not_involution")
-    assert rep.to_json() == ('{"a": 1, "c": 1, "checked": 5, "failures": ['
-                             '{"b": 1, "d": 0, "reason": "wrong_case_exchange"}, '
-                             '{"b": 1, "d": 1, "reason": "not_involution"}]}')
+    assert json.dumps(rep.to_json_dict()) == (
+        '{"a": 1, "c": 1, "checked": 5, "failures": ['
+        '{"b": 1, "d": 0, "reason": "wrong_case_exchange"}, '
+        '{"b": 1, "d": 1, "reason": "not_involution"}]}')
 
 
 def test_verify_involution_reports_wrong_case_exchange(monkeypatch):

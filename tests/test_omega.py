@@ -193,8 +193,9 @@ def test_expr_takes_its_names_as_a_vartable(names):
 
 @pytest.mark.parametrize("call, needed", [
     (lambda: expand_truncated(closed_form("F11"), 3), "WeightVector"),
-    (lambda: expand_truncated(SparsePoly.one(("q",)), WeightVector(1)), "FactoredOmegaExpr"),
-    (lambda: series_equal(SparsePoly.one(("q",)), 3), "SparsePoly"),
+    (lambda: expand_truncated(SparsePoly.constant(("q",), 1), WeightVector(1)),
+     "FactoredOmegaExpr"),
+    (lambda: series_equal(SparsePoly.constant(("q",), 1), 3), "SparsePoly"),
 ], ids=("expand_int", "expand_poly", "series_equal_int"))
 def test_entry_points_name_the_type_they_take(call, needed):
     # each once failed with AttributeError on the argument of the wrong type
@@ -221,15 +222,15 @@ def test_series_equal_reports_leading_witness():
 
 
 def test_series_equal_requires_same_vars():
-    p = SparsePoly.one(VarTable(("q",)))
-    r = SparsePoly.one(VarTable(("t",)))
+    p = SparsePoly.constant(VarTable(("q",)), 1)
+    r = SparsePoly.constant(VarTable(("t",)), 1)
     with pytest.raises(ValueError, match="mismatch"):
         series_equal(p, r)
 
 
 @pytest.mark.parametrize("other", [1, None, "q"])
 def test_series_equal_rejects_an_operand_that_is_not_a_polynomial(other):
-    p = SparsePoly.one(VarTable(("q",)))
+    p = SparsePoly.constant(VarTable(("q",)), 1)
     for args in ((p, other), (other, p)):
         with pytest.raises(TypeError, match=f"got {type(other).__name__}$"):
             series_equal(*args)

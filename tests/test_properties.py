@@ -124,7 +124,7 @@ dense_pairs = laurent_pairs(max_size=12, low=-1, high=1,
 @given(laurent_pairs() | dense_pairs, st.integers(-3, 3))
 def test_product_is_the_tuple_convolution(pair, k):
     a, b = pair
-    zero = SparsePoly.zero(a.vars)
+    zero = SparsePoly(a.vars)
     # (a + b) * (a - b) cancels the cross terms a*b - b*a
     for x, y in ((a, b), (b, a), (a, zero), (zero, b), (a + b, a - b)):
         p = x * y
