@@ -28,7 +28,8 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
     try:
         values = tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"{what} must be integers, got {text!r}") from None
+        kind = "an integer" if n == 1 else "integers"
+        raise ValueError(f"{what} must be {kind}, got {text!r}") from None
     if min(values) < 0:
         raise ValueError(f"{what} must be nonnegative, got {text!r}")
     return values
@@ -161,16 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", **fmt_kw)
 
     p = sub.add_parser("poly4", help="polynomial for k^4")
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--k", required=True)
     p.add_argument("--format", **fmt_kw)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=tuple(_SUITES))
     # no argparse defaults, so that _run sees which option was given
-    p.add_argument("--max", type=int,
-                   help="range bound for symmetry/involution suites")
-    p.add_argument("--truncate", type=int,
-                   help="series order for the gf suite")
+    p.add_argument("--max", help="range bound for symmetry/involution suites")
+    p.add_argument("--truncate", help="series order for the gf suite")
 
     p = sub.add_parser("table", help="per-path statistics table")
     p.add_argument("--what", required=True, choices=("stats3", "stats4"))
@@ -192,10 +191,8 @@ def _run(args: argparse.Namespace) -> int:
             given = vars(args)
             if given[other] is not None:
                 raise ValueError(f"--suite {args.suite} reads --{option}, not --{other}")
-            bound = default if given[option] is None else given[option]
-            if bound < 0:
-                raise ValueError(f"--{option} must be nonnegative")
-            return check(bound)
+            return check(default if given[option] is None
+                         else _parse_ints(given[option], 1, f"--{option}")[0])
         if args.command == "table":
             if args.what == "stats3":
                 _table_stats3(KVec3(*_parse_ints(args.k, 3, "--k")), args.format)
@@ -206,10 +203,8 @@ def _run(args: argparse.Namespace) -> int:
             poly = catalan_poly3(KVec3(*_parse_ints(args.k, 3, "--k")))
         elif args.command == "poly-lambda":
             poly = catalan_poly_lambda3(_parse_ints(args.lam, 3, "--lambda"))
-        elif args.k < 0:
-            raise ValueError("--k must be nonnegative")
         else:
-            poly = catalan_poly_k4(args.k)
+            poly = catalan_poly_k4(*_parse_ints(args.k, 1, "--k"))
         print({"json": lambda: json.dumps(poly.to_json_dict()),
                "latex": poly.latex, "text": poly.text}[args.format]())
         return 0

@@ -97,7 +97,7 @@ def test_malformed_k_exits_2(capsys):
         "qtcatalan poly3: error: --k needs 3 comma-separated integers, got '1,1'")
     assert usage_error_lines(capsys, "poly4", "--k", "-1") == (
         "usage: qtcatalan poly4 [-h] --k K [--format {text,json,latex}]",
-        "qtcatalan poly4: error: --k must be nonnegative")
+        "qtcatalan poly4: error: --k must be nonnegative, got '-1'")
     # a one-integer option is not a list of them
     assert usage_error_lines(capsys, "table", "--what", "stats4", "--k", "1,2") == (
         "usage: qtcatalan table [-h] --what {stats3,stats4} --k K [--format {csv,json}]",
@@ -121,9 +121,50 @@ def test_verify_rejects_the_range_option_its_suite_does_not_read(capsys):
 def test_verify_names_the_negative_range_option(capsys):
     # the bound a suite reads, from its row of cli._SUITES
     assert usage_error_lines(capsys, "verify", "--suite", "gf", "--truncate", "-1")[1] == (
-        "qtcatalan verify: error: --truncate must be nonnegative")
+        "qtcatalan verify: error: --truncate must be nonnegative, got '-1'")
     assert usage_error_lines(capsys, "verify", "--suite", "involution", "--max", "-1")[1] == (
-        "qtcatalan verify: error: --max must be nonnegative")
+        "qtcatalan verify: error: --max must be nonnegative, got '-1'")
+
+
+_VERIFY_USAGE = ("usage: qtcatalan verify [-h] --suite {symmetry3,symmetry4,involution,gf}"
+                 " [--max MAX] [--truncate TRUNCATE]")
+# every integer option the CLI reads: the arguments before it, its usage
+# line, and how many integers it takes
+_INT_OPTIONS = {
+    "poly3 --k": (("poly3", "--k"), 3,
+                  "usage: qtcatalan poly3 [-h] --k K1,K2,K3 [--format {text,json,latex}]"),
+    "poly-lambda --lambda": (
+        ("poly-lambda", "--lambda"), 3,
+        "usage: qtcatalan poly-lambda [-h] --lambda L1,L2,L3 [--format {text,json,latex}]"),
+    "poly4 --k": (("poly4", "--k"), 1,
+                  "usage: qtcatalan poly4 [-h] --k K [--format {text,json,latex}]"),
+    "table stats3 --k": (
+        ("table", "--what", "stats3", "--k"), 3,
+        "usage: qtcatalan table [-h] --what {stats3,stats4} --k K [--format {csv,json}]"),
+    "table stats4 --k": (
+        ("table", "--what", "stats4", "--k"), 1,
+        "usage: qtcatalan table [-h] --what {stats3,stats4} --k K [--format {csv,json}]"),
+    "verify --max": (("verify", "--suite", "involution", "--max"), 1, _VERIFY_USAGE),
+    "verify --truncate": (("verify", "--suite", "gf", "--truncate"), 1, _VERIFY_USAGE),
+}
+# per count: a non-integer, a negative and a miscounted value, each with
+# what the message says of it
+_BAD_INTS = {
+    1: (("x", "must be an integer"), ("-1", "must be nonnegative"),
+        ("1,2", "needs one integer")),
+    3: (("1,x,1", "must be integers"), ("1,-1,1", "must be nonnegative"),
+        ("1,1", "needs 3 comma-separated integers")),
+}
+
+
+@pytest.mark.parametrize("name, value, complaint", [
+    (name, value, complaint) for name, (_, n, _) in _INT_OPTIONS.items()
+    for value, complaint in _BAD_INTS[n]])
+def test_every_integer_option_names_itself_and_the_bad_value(capsys, name, value, complaint):
+    argv, _, usage = _INT_OPTIONS[name]
+    option, command = argv[-1], argv[0]
+    assert usage_error_lines(capsys, *argv, value) == (
+        usage, f"qtcatalan {command}: error: {option} {complaint}, got {value!r}")
 
 
 def test_verify_symmetry3(capsys):
